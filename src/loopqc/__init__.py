@@ -12,180 +12,22 @@ The package is organized around four layers:
 - ``gates`` / ``cluster``: measurement-induced two-qubit gates (heralded
   sign-shift and controlled-Z), dual-rail fusion operations, and a graph
   state layer with probabilistic bonding.
+
+Only the names the README quick tour uses are re-exported here; everything
+else is imported from its module (``loopqc.fock``, ``loopqc.loop``, ...).
 """
 
 from .cluster import (
-    FusionResult,
-    GraphError,
     GraphState,
-    add_cz_edge,
-    apply_fusion_graph_rule,
     bond_micro_clusters,
-    bond_success_trials,
-    clifford_from_tag,
-    clifford_tag,
     fusion_type_i,
-    fusion_type_ii,
-    graph_from_json,
     graph_to_fock,
-    graph_to_json,
     graph_union,
-    local_complement,
-    measure_x,
-    measure_y,
-    measure_z,
-    measurement_probability,
-    merge_vertices,
-    pbs_matrix,
-    pbs_timebin,
-    project_dual_rail,
     required_branches,
-    waveplate_timebin,
 )
-from .compiler import (
-    CompileError,
-    PairwiseOp,
-    VerificationError,
-    block_rotation_pass,
-    compile_unitary,
-    coupling_pass,
-    pairwise_to_passes,
-    phase_pass,
-    recompose,
-    reck_decompose,
-    verify_schedule,
-)
-from .fock import (
-    FockError,
-    FockState,
-    ModeUnitary,
-    apply_beamsplitter,
-    apply_mode_unitary,
-    apply_phases,
-    beamsplitter_matrix,
-    haar_unitary,
-    measure_modes,
-    output_probability,
-    permanent,
-    phase_free_distance,
-    post_select,
-    state_from_json,
-    state_to_json,
-    swap_modes,
-    transition_amplitude,
-    unitary_from_json,
-    unitary_to_json,
-)
-from .gates import (
-    GateError,
-    HeraldedResult,
-    cz_gadget_unitary,
-    cz_gate,
-    decode_dual_rail,
-    dual_rail_ket,
-    encode_dual_rail,
-    gadget_library,
-    klm_round,
-    ns_gadget_unitary,
-    ns_gate,
-    single_qubit_gate,
-)
-from .loop import (
-    LoopConfig,
-    LoopError,
-    LoopSchedule,
-    Machine,
-    PassSettings,
-    RoundPlan,
-    effective_unitary,
-    run_schedule,
-    schedule_from_json,
-    schedule_to_json,
-    trace_to_jsonl,
-)
+from .compiler import VerificationError, compile_unitary, verify_schedule
+from .fock import FockState, apply_beamsplitter, haar_unitary
+from .gates import cz_gadget_unitary, dual_rail_ket, klm_round
 from .seeding import derive_rng
-
-__all__ = [
-    "CompileError",
-    "FockError",
-    "FockState",
-    "FusionResult",
-    "GateError",
-    "GraphError",
-    "GraphState",
-    "HeraldedResult",
-    "LoopConfig",
-    "LoopError",
-    "LoopSchedule",
-    "Machine",
-    "ModeUnitary",
-    "PairwiseOp",
-    "PassSettings",
-    "RoundPlan",
-    "VerificationError",
-    "add_cz_edge",
-    "apply_beamsplitter",
-    "apply_fusion_graph_rule",
-    "apply_mode_unitary",
-    "apply_phases",
-    "beamsplitter_matrix",
-    "block_rotation_pass",
-    "bond_micro_clusters",
-    "bond_success_trials",
-    "clifford_from_tag",
-    "clifford_tag",
-    "compile_unitary",
-    "coupling_pass",
-    "cz_gadget_unitary",
-    "cz_gate",
-    "decode_dual_rail",
-    "derive_rng",
-    "dual_rail_ket",
-    "effective_unitary",
-    "encode_dual_rail",
-    "fusion_type_i",
-    "fusion_type_ii",
-    "gadget_library",
-    "graph_from_json",
-    "graph_to_fock",
-    "graph_to_json",
-    "graph_union",
-    "haar_unitary",
-    "klm_round",
-    "local_complement",
-    "measure_modes",
-    "measure_x",
-    "measure_y",
-    "measure_z",
-    "measurement_probability",
-    "merge_vertices",
-    "ns_gadget_unitary",
-    "ns_gate",
-    "output_probability",
-    "pairwise_to_passes",
-    "pbs_matrix",
-    "pbs_timebin",
-    "permanent",
-    "phase_free_distance",
-    "phase_pass",
-    "post_select",
-    "project_dual_rail",
-    "recompose",
-    "reck_decompose",
-    "required_branches",
-    "run_schedule",
-    "schedule_from_json",
-    "schedule_to_json",
-    "single_qubit_gate",
-    "state_from_json",
-    "state_to_json",
-    "swap_modes",
-    "trace_to_jsonl",
-    "transition_amplitude",
-    "unitary_from_json",
-    "unitary_to_json",
-    "verify_schedule",
-    "waveplate_timebin",
-]
 
 __version__ = "0.1.0"

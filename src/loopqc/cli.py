@@ -27,14 +27,13 @@ from .cluster import (
 )
 from .compiler import CompileError, VerificationError, compile_unitary, \
     verify_schedule
-from .fock import FockError, FockState, state_from_json, state_to_json, \
-    unitary_from_json
-from .gates import GateError, cz_gate, dual_rail_ket, gadget_library, ns_gate
+from .fock import FockError, FockState, header, state_from_json, \
+    state_to_json, unitary_from_json
+from .gates import GADGETS, GateError, cz_gate, dual_rail_ket, \
+    gadget_library, ns_gate
 from .loop import LoopError, Machine, run_schedule, schedule_from_json, \
     schedule_to_json, trace_to_jsonl
 from .seeding import derive_rng
-
-REPORT_VERSION = "1.0"
 
 _INPUT_ERRORS = (FockError, LoopError, CompileError, GateError, GraphError,
                  OSError, json.JSONDecodeError, KeyError, TypeError,
@@ -68,8 +67,7 @@ def _emit(text: str, out_path) -> None:
 
 
 def _report(command: str, config: dict, body: dict) -> str:
-    doc = {"kind": "run-report", "format_version": REPORT_VERSION,
-           "command": command, "config": config}
+    doc = {**header("run-report"), "command": command, "config": config}
     doc.update(body)
     return json.dumps(doc, sort_keys=True, indent=2)
 
@@ -234,7 +232,7 @@ def _run_ns(seed, mode):
         res = ns_gate(state, 0, rng=derive_rng(seed, "gates", "ns", "herald"))
     body = {"input_amplitudes": [_complex_pair(a) for a in amps],
             "success": res.success, "probability": res.probability,
-            "herald_probability": 0.25}
+            "herald_probability": GADGETS["ns"].success_probability}
     if res.success:
         body["fidelity"] = abs(res.state.overlap(oracle))
     return body
@@ -251,7 +249,8 @@ def _run_cz(seed, mode, bits):
         res = cz_gate(state, (0, 1), (2, 3),
                       rng=derive_rng(seed, "gates", "cz", "herald"))
     body = {"bits": bits, "success": res.success,
-            "probability": res.probability, "herald_probability": 1 / 16}
+            "probability": res.probability,
+            "herald_probability": GADGETS["cz"].success_probability}
     if res.success:
         sign = -1.0 if b == (1, 1) else 1.0
         oracle = dual_rail_ket(b)

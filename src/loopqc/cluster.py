@@ -30,9 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockState, apply_beamsplitter, apply_mode_unitary, \
-    measure_modes, post_select, swap_modes
-
-FORMAT_VERSION = "1.0"
+    check_header, header, measure_modes, post_select, swap_modes
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -313,27 +311,6 @@ def measure_y(g: GraphState, v, outcome: int = 0) -> GraphState:
 def measure_z(g: GraphState, v, outcome: int = 0) -> GraphState:
     """Measure Pauli Z on vertex v (outcome 0 means eigenvalue +1)."""
     return _measure(g, v, "z", outcome)
-
-
-def measurement_probability(g: GraphState, v, pauli: str, outcome: int
-                            ) -> float:
-    """Probability of the outcome: 1/2 unless the Pauli is fixed.
-
-    The only deterministic single-vertex case is an effective X measurement
-    of an isolated vertex.
-    """
-    axis, sign = _conjugated_pauli(g.frame(v), _norm_pauli(pauli))
-    if axis == "x" and g.degree(v) == 0:
-        s = outcome if sign > 0 else 1 - outcome
-        return 1.0 if s == 0 else 0.0
-    return 0.5
-
-
-def _norm_pauli(pauli: str) -> str:
-    p = str(pauli).lower()
-    if p not in _PAULIS:
-        raise GraphError(f"unknown Pauli {pauli!r}")
-    return p
 
 
 # --------------------------------------------------------------------------
@@ -657,8 +634,7 @@ def project_dual_rail(state: FockState, pair, qubit_vector):
 def graph_to_json(g: GraphState) -> str:
     verts = sorted(g.vertices)
     payload = {
-        "kind": "graph-state",
-        "format_version": FORMAT_VERSION,
+        **header("graph-state"),
         "vertices": list(verts),
         "edges": sorted(sorted(e) for e in g.edges),
         "frames": {str(v): clifford_tag(m) for v, m in g.frames.items()},
@@ -668,11 +644,7 @@ def graph_to_json(g: GraphState) -> str:
 
 def graph_from_json(text: str) -> GraphState:
     data = json.loads(text)
-    if data.get("kind") != "graph-state":
-        raise GraphError(f"not a graph-state document: {data.get('kind')!r}")
-    version = str(data.get("format_version", ""))
-    if version.split(".")[0] != FORMAT_VERSION.split(".")[0]:
-        raise GraphError(f"unsupported format_version {version!r}")
+    check_header(data, "graph-state", GraphError)
     by_name = {str(v): v for v in data["vertices"]}
     frames = {}
     for name, tag in data.get("frames", {}).items():

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockError, beamsplitter_matrix, phase_free_distance, _as_matrix
+from .fock import _as_matrix, beamsplitter_matrix, embed, is_unitary, \
+    phase_free_distance
 from .loop import LoopConfig, LoopSchedule, PassSettings, effective_unitary
 
 _EPS = 1e-12
@@ -104,8 +105,7 @@ def reck_decompose(u):
                 theta = math.atan2(abs(x), abs(v))
                 phi = float(np.angle(x) - np.angle(v))
             ops.append(PairwiseOp(c, c + 1, theta, phi))
-            t = np.eye(n, dtype=complex)
-            t[np.ix_((c, c + 1), (c, c + 1))] = beamsplitter_matrix(theta, phi)
+            t = embed(n, (c, c + 1), beamsplitter_matrix(theta, phi))
             a = a @ t.conj().T
     phases = np.angle(np.diagonal(a)).copy()
     off = a - np.diag(np.diagonal(a))
@@ -123,9 +123,7 @@ def recompose(ops, phases) -> np.ndarray:
     for op in ops:
         if op.j >= n:
             raise CompileError(f"op acts on mode {op.j} but n = {n}")
-        t = np.eye(n, dtype=complex)
-        t[np.ix_((op.i, op.j), (op.i, op.j))] = op.matrix2()
-        a = t @ a
+        a = embed(n, (op.i, op.j), op.matrix2()) @ a
     return np.diag(np.exp(1j * phases)) @ a
 
 
@@ -188,7 +186,7 @@ def coupling_pass(n_bins: int, x: int, y: int, g) -> PassSettings:
         raise CompileError("coupling block must be 2x2")
     if not (0 <= x < y <= n_bins - 1):
         raise CompileError(f"bad bin pair ({x}, {y}) for {n_bins} bins")
-    if not np.allclose(g.conj().T @ g, np.eye(2), atol=1e-9):
+    if not is_unitary(g):
         raise CompileError("coupling block must be unitary")
     c = g[0, 1]
     if abs(c.imag) > 1e-9 or c.real < -1e-9:

@@ -118,9 +118,6 @@ class FockState:
         return sum(a[occ].conjugate() * b[occ] for occ in keys
                    if occ in a and occ in b)
 
-    def fidelity(self, other: "FockState") -> float:
-        return abs(self.overlap(other))
-
     def tensor(self, other: "FockState") -> "FockState":
         amps = {}
         for occ_a, amp_a in self.items():
@@ -129,13 +126,6 @@ class FockState:
         return FockState(self.n_modes + other.n_modes,
                          self.total_photons + other.total_photons,
                          amps, normalized=self.normalized and other.normalized)
-
-    def renormalized(self) -> "FockState":
-        nrm = math.sqrt(self.norm_squared())
-        if nrm == 0.0:
-            raise FockError("cannot renormalize the zero state")
-        return FockState(self.n_modes, self.total_photons,
-                         {occ: amp / nrm for occ, amp in self.items()})
 
     def __repr__(self):
         return (f"FockState(n_modes={self.n_modes}, "
@@ -150,25 +140,9 @@ class ModeUnitary:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise FockError(f"transfer matrix must be square, got {m.shape}")
-        if not np.allclose(m.conj().T @ m, np.eye(m.shape[0]), atol=UNITARY_ATOL):
-            raise FockError("matrix is not unitary")
+        m = np.array(_as_matrix(self.matrix))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @classmethod
-    def identity(cls, n: int) -> "ModeUnitary":
-        return cls(np.eye(n, dtype=complex))
-
-    def __matmul__(self, other):
-        other_m = other.matrix if isinstance(other, ModeUnitary) else other
-        return ModeUnitary(self.matrix @ other_m)
 
 
 def beamsplitter_matrix(theta: float, phi: float) -> np.ndarray:
@@ -178,15 +152,27 @@ def beamsplitter_matrix(theta: float, phi: float) -> np.ndarray:
     return np.array([[c, -s / e], [s * e, c]], dtype=complex)
 
 
+def is_unitary(m) -> bool:
+    """Whether the square matrix ``m`` satisfies m^dag m = 1 to UNITARY_ATOL."""
+    return np.allclose(m.conj().T @ m, np.eye(m.shape[0]), atol=UNITARY_ATOL)
+
+
 def _as_matrix(u) -> np.ndarray:
     if isinstance(u, ModeUnitary):
         return u.matrix
     m = np.asarray(u, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise FockError(f"transfer matrix must be square, got {m.shape}")
-    if not np.allclose(m.conj().T @ m, np.eye(m.shape[0]), atol=UNITARY_ATOL):
+    if not is_unitary(m):
         raise FockError("matrix is not unitary")
     return m
+
+
+def embed(n: int, modes, block) -> np.ndarray:
+    """The n-mode identity with ``block`` on the rows and columns ``modes``."""
+    u = np.eye(n, dtype=complex)
+    u[np.ix_(modes, modes)] = block
+    return u
 
 
 def apply_mode_unitary(state: FockState, u, prune_tol=DEFAULT_PRUNE_TOL) -> FockState:
@@ -401,12 +387,12 @@ def permanent(m, dim_cap: int = PERMANENT_DIM_CAP) -> complex:
     return complex(total)
 
 
-def output_probability(u, input_occ, output_occ) -> float:
-    """Transition probability |<T| U |S>|^2 from the permanent formula.
+def _photon_permanent(u, input_occ, output_occ):
+    """Per(M) and the occupations S, T as int tuples.
 
-    The submatrix has one row per output photon and one column per input
-    photon (repeated modes repeat rows/columns); the probability is
-    |Per|^2 / (prod s_i! prod t_j!).
+    M has one row per output photon and one column per input photon of U
+    (repeated modes repeat rows/columns).  Per is None when S and T carry
+    different photon numbers.
     """
     m = _as_matrix(u)
     s = tuple(int(x) for x in input_occ)
@@ -414,35 +400,28 @@ def output_probability(u, input_occ, output_occ) -> float:
     if len(s) != m.shape[0] or len(t) != m.shape[0]:
         raise FockError("occupation length must match matrix dimension")
     if sum(s) != sum(t):
-        raise FockError(
-            f"photon number mismatch: input {sum(s)}, output {sum(t)}")
+        return None, s, t
     rows = [mode for mode, reps in enumerate(t) for _ in range(reps)]
     cols = [mode for mode, reps in enumerate(s) for _ in range(reps)]
-    per = permanent(m[np.ix_(rows, cols)])
-    denom = 1.0
-    for x in s:
-        denom *= math.factorial(x)
-    for x in t:
-        denom *= math.factorial(x)
-    return abs(per) ** 2 / denom
+    return permanent(m[np.ix_(rows, cols)]), s, t
+
+
+def output_probability(u, input_occ, output_occ) -> float:
+    """Transition probability |<T| U |S>|^2 = |Per|^2 / (prod s_i! prod t_j!)."""
+    per, s, t = _photon_permanent(u, input_occ, output_occ)
+    if per is None:
+        raise FockError(
+            f"photon number mismatch: input {sum(s)}, output {sum(t)}")
+    return abs(per) ** 2 / math.prod((math.factorial(x) for x in s + t),
+                                     start=1.0)
 
 
 def transition_amplitude(u, input_occ, output_occ) -> complex:
-    """<T| U |S> = Per(M) / sqrt(prod s_i! prod t_j!)."""
-    m = _as_matrix(u)
-    s = tuple(int(x) for x in input_occ)
-    t = tuple(int(x) for x in output_occ)
-    if sum(s) != sum(t):
+    """<T| U |S> = Per(M) / sqrt(prod s_i! prod t_j!); 0 if photon numbers differ."""
+    per, s, t = _photon_permanent(u, input_occ, output_occ)
+    if per is None:
         return 0j
-    rows = [mode for mode, reps in enumerate(t) for _ in range(reps)]
-    cols = [mode for mode, reps in enumerate(s) for _ in range(reps)]
-    per = permanent(m[np.ix_(rows, cols)])
-    denom = 1.0
-    for x in s:
-        denom *= _sqrt_fact(x)
-    for x in t:
-        denom *= _sqrt_fact(x)
-    return per / denom
+    return per / math.prod((_sqrt_fact(x) for x in s + t), start=1.0)
 
 
 def haar_unitary(dim: int, rng) -> np.ndarray:
@@ -472,13 +451,18 @@ def phase_free_distance(a, b) -> float:
 # serialization (versioned JSON)
 
 
-def _check_header(doc: dict, kind: str):
+def header(kind: str) -> dict:
+    """The ``kind`` and ``format_version`` fields every document starts with."""
+    return {"kind": kind, "format_version": FORMAT_VERSION}
+
+
+def check_header(doc: dict, kind: str, error):
+    """Raise ``error`` unless ``doc`` is a ``kind`` document of our major version."""
     if doc.get("kind") != kind:
-        raise FockError(f"expected kind {kind!r}, got {doc.get('kind')!r}")
+        raise error(f"expected kind {kind!r}, got {doc.get('kind')!r}")
     version = str(doc.get("format_version", ""))
-    major = version.split(".", 1)[0]
-    if major != FORMAT_VERSION.split(".", 1)[0]:
-        raise FockError(f"unsupported format version {version!r}")
+    if version.split(".", 1)[0] != FORMAT_VERSION.split(".", 1)[0]:
+        raise error(f"unsupported format version {version!r}")
 
 
 def state_to_json(state: FockState) -> str:
@@ -487,8 +471,7 @@ def state_to_json(state: FockState) -> str:
         for occ, amp in sorted(state.items())
     ]
     doc = {
-        "kind": "fock-state",
-        "format_version": FORMAT_VERSION,
+        **header("fock-state"),
         "n_modes": state.n_modes,
         "total_photons": state.total_photons,
         "normalized": state.normalized,
@@ -499,7 +482,7 @@ def state_to_json(state: FockState) -> str:
 
 def state_from_json(text: str) -> FockState:
     doc = json.loads(text)
-    _check_header(doc, "fock-state")
+    check_header(doc, "fock-state", FockError)
     amps = {tuple(t["occ"]): complex(t["re"], t["im"]) for t in doc["terms"]}
     return FockState(doc["n_modes"], doc["total_photons"], amps,
                      normalized=doc.get("normalized", True))
@@ -508,8 +491,7 @@ def state_from_json(text: str) -> FockState:
 def unitary_to_json(u) -> str:
     m = _as_matrix(u)
     doc = {
-        "kind": "mode-unitary",
-        "format_version": FORMAT_VERSION,
+        **header("mode-unitary"),
         "dim": m.shape[0],
         "re": [[float(x) for x in row] for row in m.real],
         "im": [[float(x) for x in row] for row in m.imag],
@@ -519,16 +501,9 @@ def unitary_to_json(u) -> str:
 
 def unitary_from_json(text: str) -> np.ndarray:
     doc = json.loads(text)
-    _check_header(doc, "mode-unitary")
+    check_header(doc, "mode-unitary", FockError)
     m = np.array(doc["re"], dtype=float) + 1j * np.array(doc["im"], dtype=float)
     if m.shape != (doc["dim"], doc["dim"]):
         raise FockError("matrix shape does not match declared dim")
     return m
 
-
-if __name__ == "__main__":
-    # two-photon interference at a balanced splitter
-    s = FockState.from_occupation((1, 1))
-    out = apply_beamsplitter(s, 0, 1, math.pi / 4, 0.0)
-    for occ, amp in sorted(out.items()):
-        print(occ, f"{amp.real:+.6f}{amp.imag:+.6f}j")

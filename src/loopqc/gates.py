@@ -27,6 +27,9 @@ from .fock import (
     FockState,
     apply_beamsplitter,
     beamsplitter_matrix,
+    embed,
+    header,
+    is_unitary,
     measure_modes,
     post_select,
 )
@@ -35,8 +38,6 @@ from .loop import LoopConfig, Machine
 NS_THETA_PRE = math.pi / 8
 NS_THETA_MIX = math.acos(1.0 - math.sqrt(2.0))
 NS_THETA_POST = math.pi + math.pi / 8
-
-UNITARY_ATOL = 1e-9
 
 
 class GateError(ValueError):
@@ -58,9 +59,47 @@ class HeraldedResult:
     state: FockState
 
 
-def _embed(n, modes, block):
+@dataclass(frozen=True)
+class Gadget:
+    """A heralded circuit.
+
+    ``modes`` names the signal modes, then one ancilla mode per entry of
+    ``ancilla``, the occupation injected there.  ``splitters`` lists
+    (i, j, theta) beamsplitters with phi = 0, in the order they act.  The
+    herald is the ``ancilla`` occupation, detected again on the trailing
+    modes.
+    """
+
+    modes: tuple
+    ancilla: tuple
+    splitters: tuple
+    success_probability: float
+
+
+def _relabel(splitters, modes) -> tuple:
+    return tuple((modes[i], modes[j], theta) for i, j, theta in splitters)
+
+
+GADGETS = {
+    "ns": Gadget(("signal", "ancilla_photon", "ancilla_vacuum"), (1, 0),
+                 ((1, 2, NS_THETA_PRE), (0, 1, NS_THETA_MIX),
+                  (1, 2, NS_THETA_POST)), 0.25),
+}
+# one sign shift on each qubit's second rail, between balanced splitters of
+# those two rails
+GADGETS["cz"] = Gadget(
+    ("a0", "a1", "b0", "b1", "m1", "m2", "m3", "m4"), (1, 0, 1, 0),
+    ((1, 3, math.pi / 4),) + _relabel(GADGETS["ns"].splitters, (1, 4, 5))
+    + _relabel(GADGETS["ns"].splitters, (3, 6, 7)) + ((1, 3, -math.pi / 4),),
+    0.0625)
+
+
+def _gadget_unitary(gadget: Gadget) -> np.ndarray:
+    """Transfer matrix B_K ... B_1 of the splitters B_1, ..., B_K."""
+    n = len(gadget.modes)
     u = np.eye(n, dtype=complex)
-    u[np.ix_(modes, modes)] = np.asarray(block, dtype=complex)
+    for i, j, theta in reversed(gadget.splitters):
+        u = u @ embed(n, (i, j), beamsplitter_matrix(theta, 0.0))
     return u
 
 
@@ -69,10 +108,7 @@ def ns_gadget_unitary() -> np.ndarray:
 
     Mode order: (signal, ancilla photon, ancilla vacuum).
     """
-    b1 = _embed(3, (1, 2), beamsplitter_matrix(NS_THETA_PRE, 0.0))
-    b2 = _embed(3, (0, 1), beamsplitter_matrix(NS_THETA_MIX, 0.0))
-    b3 = _embed(3, (1, 2), beamsplitter_matrix(NS_THETA_POST, 0.0))
-    return b3 @ b2 @ b1
+    return _gadget_unitary(GADGETS["ns"])
 
 
 def cz_gadget_unitary() -> np.ndarray:
@@ -82,25 +118,31 @@ def cz_gadget_unitary() -> np.ndarray:
     followed by the two sign-shift ancilla pairs (m1, m2) on rail a1 and
     (m3, m4) on rail b1.  Herald pattern: (1, 0, 1, 0) on the last four.
     """
-    ns = ns_gadget_unitary()
-    u = _embed(8, (1, 3), beamsplitter_matrix(math.pi / 4, 0.0))
-    u = _embed(8, (1, 4, 5), ns) @ u
-    u = _embed(8, (3, 6, 7), ns) @ u
-    u = _embed(8, (1, 3), beamsplitter_matrix(-math.pi / 4, 0.0)) @ u
-    return u
+    return _gadget_unitary(GADGETS["cz"])
 
 
-def _herald(work, modes, pattern, rng, postselect):
+def _run_gadget(gadget: Gadget, state: FockState, signal_modes, rng,
+                postselect) -> HeraldedResult:
+    """Run ``gadget`` with its signal modes on ``signal_modes`` of ``state``.
+
+    The ancilla modes are appended to the state and measured away again.
+    """
     if postselect and rng is not None:
         raise GateError("pass either rng or postselect=True, not both")
-    if postselect:
-        prob, cond = post_select(work, modes, pattern)
-        return HeraldedResult(prob > 0.0, prob, cond)
-    if rng is None:
+    if not postselect and rng is None:
         raise GateError("sampling a herald requires an rng "
                         "(or pass postselect=True)")
-    outcome, cond, prob = measure_modes(work, modes, rng)
-    return HeraldedResult(tuple(outcome) == tuple(pattern), prob, cond)
+    n = state.n_modes
+    herald = tuple(range(n, n + len(gadget.ancilla)))
+    modes = tuple(signal_modes) + herald
+    work = state.tensor(FockState.from_occupation(gadget.ancilla))
+    for i, j, theta in gadget.splitters:
+        work = apply_beamsplitter(work, modes[i], modes[j], theta, 0.0)
+    if postselect:
+        prob, cond = post_select(work, herald, gadget.ancilla)
+        return HeraldedResult(prob > 0.0, prob, cond)
+    outcome, cond, prob = measure_modes(work, herald, rng)
+    return HeraldedResult(tuple(outcome) == gadget.ancilla, prob, cond)
 
 
 def ns_gate(state: FockState, target: int, rng=None,
@@ -112,12 +154,7 @@ def ns_gate(state: FockState, target: int, rng=None,
     """
     if not 0 <= target < state.n_modes:
         raise GateError(f"target mode {target} out of range")
-    n = state.n_modes
-    work = state.tensor(FockState.from_occupation((1, 0)))
-    work = apply_beamsplitter(work, n, n + 1, NS_THETA_PRE, 0.0)
-    work = apply_beamsplitter(work, target, n, NS_THETA_MIX, 0.0)
-    work = apply_beamsplitter(work, n, n + 1, NS_THETA_POST, 0.0)
-    return _herald(work, (n, n + 1), (1, 0), rng, postselect)
+    return _run_gadget(GADGETS["ns"], state, (target,), rng, postselect)
 
 
 def cz_gate(state: FockState, pair_a, pair_b, rng=None,
@@ -131,17 +168,7 @@ def cz_gate(state: FockState, pair_a, pair_b, rng=None,
     modes = tuple(pair_a) + tuple(pair_b)
     if len(set(modes)) != 4 or not all(0 <= m < state.n_modes for m in modes):
         raise GateError(f"qubit rails {modes} must be four distinct modes")
-    n = state.n_modes
-    a1, b1 = pair_a[1], pair_b[1]
-    work = state.tensor(FockState.from_occupation((1, 0, 1, 0)))
-    work = apply_beamsplitter(work, a1, b1, math.pi / 4, 0.0)
-    for signal, (p, q) in ((a1, (n, n + 1)), (b1, (n + 2, n + 3))):
-        work = apply_beamsplitter(work, p, q, NS_THETA_PRE, 0.0)
-        work = apply_beamsplitter(work, signal, p, NS_THETA_MIX, 0.0)
-        work = apply_beamsplitter(work, p, q, NS_THETA_POST, 0.0)
-    work = apply_beamsplitter(work, a1, b1, -math.pi / 4, 0.0)
-    return _herald(work, (n, n + 1, n + 2, n + 3), (1, 0, 1, 0),
-                   rng, postselect)
+    return _run_gadget(GADGETS["cz"], state, modes, rng, postselect)
 
 
 # --------------------------------------------------------------------------
@@ -228,7 +255,7 @@ def single_qubit_gate(v, pair) -> PairwiseOp:
     v = np.asarray(v, dtype=complex)
     if v.shape != (2, 2):
         raise GateError(f"expected a 2x2 matrix, got {v.shape}")
-    if not np.allclose(v.conj().T @ v, np.eye(2), atol=UNITARY_ATOL):
+    if not is_unitary(v):
         raise GateError("matrix is not unitary")
     i, j = int(pair[0]), int(pair[1])
     c, s = abs(v[0, 0]), abs(v[1, 0])
@@ -251,38 +278,23 @@ def gadget_library() -> dict:
     pattern, and the Bell-pair/any-input success probability.  The CLI
     emits this as JSON so external tooling can reproduce the circuits.
     """
-    ns_splitters = [
-        {"modes": [1, 2], "theta": NS_THETA_PRE, "phi": 0.0},
-        {"modes": [0, 1], "theta": NS_THETA_MIX, "phi": 0.0},
-        {"modes": [1, 2], "theta": NS_THETA_POST, "phi": 0.0},
-    ]
+    gadgets = {
+        name: {
+            "modes": list(g.modes),
+            "ancilla_occupation": list(g.ancilla),
+            "beamsplitters": [{"modes": [i, j], "theta": theta, "phi": 0.0}
+                              for i, j, theta in g.splitters],
+            "herald": {"modes": list(range(len(g.modes) - len(g.ancilla),
+                                           len(g.modes))),
+                       "pattern": list(g.ancilla)},
+            "success_probability": g.success_probability,
+        }
+        for name, g in GADGETS.items()
+    }
     return {
-        "kind": "gadget-library",
-        "format_version": "1.0",
+        **header("gadget-library"),
         "gadgets": {
-            "ns": {
-                "modes": ["signal", "ancilla_photon", "ancilla_vacuum"],
-                "ancilla_occupation": [1, 0],
-                "beamsplitters": ns_splitters,
-                "herald": {"modes": [1, 2], "pattern": [1, 0]},
-                "success_probability": 0.25,
-            },
-            "cz": {
-                "modes": ["a0", "a1", "b0", "b1", "m1", "m2", "m3", "m4"],
-                "ancilla_occupation": [1, 0, 1, 0],
-                "beamsplitters": [
-                    {"modes": [1, 3], "theta": math.pi / 4, "phi": 0.0},
-                    {"modes": [4, 5], "theta": NS_THETA_PRE, "phi": 0.0},
-                    {"modes": [1, 4], "theta": NS_THETA_MIX, "phi": 0.0},
-                    {"modes": [4, 5], "theta": NS_THETA_POST, "phi": 0.0},
-                    {"modes": [6, 7], "theta": NS_THETA_PRE, "phi": 0.0},
-                    {"modes": [3, 6], "theta": NS_THETA_MIX, "phi": 0.0},
-                    {"modes": [6, 7], "theta": NS_THETA_POST, "phi": 0.0},
-                    {"modes": [1, 3], "theta": -math.pi / 4, "phi": 0.0},
-                ],
-                "herald": {"modes": [4, 5, 6, 7], "pattern": [1, 0, 1, 0]},
-                "success_probability": 0.0625,
-            },
+            **gadgets,
             "fusion1": {
                 "modes": ["h1", "v1", "h2", "v2"],
                 "sequence": ["swap h1<->h2", "waveplate (h2, v2)",

@@ -43,10 +43,11 @@ from .fock import (
     FockState,
     ModeUnitary,
     apply_beamsplitter,
+    check_header,
+    header,
     measure_modes,
 )
 
-FORMAT_VERSION = "1.0"
 ANGLE_TOL = 1e-9
 SMEAR_TOL = 1e-12
 
@@ -155,15 +156,6 @@ class MeasurementRecord:
     """Ordered log of every ancilla extraction outcome."""
 
     entries: list = field(default_factory=list)
-
-    def append(self, entry: RecordEntry):
-        self.entries.append(entry)
-
-    def outcomes(self):
-        return [e.outcome for e in self.entries]
-
-    def __len__(self):
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -284,7 +276,7 @@ class Machine:
         outcome, cond, prob = measure_modes(self.train, bins, rng)
         self.train = cond
         entry = RecordEntry(self.round_index, bins, outcome, prob)
-        self.record.append(entry)
+        self.record.entries.append(entry)
         self.trace.append({
             "event": "extract", "round": self.round_index,
             "bins": list(bins), "outcome": list(outcome),
@@ -420,8 +412,7 @@ def trace_to_jsonl(trace) -> str:
 
 def schedule_to_json(schedule: LoopSchedule) -> str:
     doc = {
-        "kind": "loop-schedule",
-        "format_version": FORMAT_VERSION,
+        **header("loop-schedule"),
         "config": {
             "n_bins": schedule.config.n_bins,
             "outer_delay_bins": schedule.config.outer_delay_bins,
@@ -448,11 +439,7 @@ def schedule_to_json(schedule: LoopSchedule) -> str:
 
 def schedule_from_json(text: str) -> LoopSchedule:
     doc = json.loads(text)
-    if doc.get("kind") != "loop-schedule":
-        raise LoopError(f"expected kind 'loop-schedule', got {doc.get('kind')!r}")
-    version = str(doc.get("format_version", ""))
-    if version.split(".", 1)[0] != FORMAT_VERSION.split(".", 1)[0]:
-        raise LoopError(f"unsupported format version {version!r}")
+    check_header(doc, "loop-schedule", LoopError)
     cfg = doc["config"]
     config = LoopConfig(n_bins=cfg["n_bins"],
                         outer_delay_bins=cfg["outer_delay_bins"],

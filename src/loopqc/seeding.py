@@ -8,8 +8,20 @@ reproducible even if inner loops are reordered or parallelized.
 """
 
 import hashlib
+import numbers
 
 import numpy as np
+
+
+def _canonical_id(stream_id):
+    """Equal ids name one stream whatever their type (Python or numpy str
+    and int); bools keep streams of their own."""
+    if isinstance(stream_id, str):
+        return str(stream_id)
+    if isinstance(stream_id, numbers.Integral):
+        return stream_id if isinstance(stream_id, bool) else int(stream_id)
+    raise TypeError(f"stream ids must be str or integers, got "
+                    f"{type(stream_id).__name__}")
 
 
 def derive_rng(seed: int, *stream_ids) -> np.random.Generator:
@@ -22,7 +34,7 @@ def derive_rng(seed: int, *stream_ids) -> np.random.Generator:
     seed = int(seed)
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
-    label = "/".join(repr(s) for s in stream_ids).encode()
+    label = "/".join(repr(_canonical_id(s)) for s in stream_ids).encode()
     digest = hashlib.sha256(label).digest()
     counter = np.frombuffer(digest, dtype=np.uint64)[:4]
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))

@@ -5,6 +5,7 @@ Each command is run through click's CliRunner; reports go to stdout as JSON
 the same command with the same seed must produce byte-identical output.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -299,6 +300,8 @@ def test_gates_library_dump(runner):
     assert doc["gadgets"]["cz"]["success_probability"] == 1 / 16
     assert doc["gadgets"]["cz"]["herald"]["pattern"] == [1, 0, 1, 0]
     assert doc["gadgets"]["fusion1"]["bell_pair_success_probability"] == 0.5
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == (
+        "e12d3b3f258f057ef4071e76c026f13db134f9a362e31d1409e4c8c7160a0097")
 
 
 def test_gates_bad_inputs_are_input_errors(runner):

@@ -29,6 +29,7 @@ from loopqc.fock import (
     state_from_json,
     state_to_json,
     swap_modes,
+    transition_amplitude,
     unitary_from_json,
     unitary_to_json,
 )
@@ -278,6 +279,18 @@ def test_output_probability_photon_mismatch():
         output_probability(u, (1, 0), (1, 1))
 
 
+def test_transition_amplitude_matches_evolution():
+    """Permanent amplitudes equal the evolved amplitudes, phase included."""
+    rng = np.random.default_rng(SEED + 5)
+    for n, occ in [(3, (1, 1, 0)), (3, (2, 0, 1)), (4, (1, 0, 2, 0))]:
+        u = haar_unitary(n, rng)
+        evolved = apply_mode_unitary(FockState.from_occupation(occ), u)
+        for out_occ, amp in evolved.items():
+            got = transition_amplitude(u, occ, out_occ)
+            assert abs(got - amp) < 1e-10, (occ, out_occ)
+    assert transition_amplitude(u, (1, 0, 0, 0), (1, 1, 0, 0)) == 0j
+
+
 # ---------------------------------------------------------------- measurement
 
 
@@ -368,12 +381,16 @@ def test_unitary_json_roundtrip():
 
 
 def test_json_version_rejection():
-    s = FockState.from_occupation((1,))
-    doc = json.loads(state_to_json(s))
-    doc["format_version"] = "2.0"
-    with pytest.raises(FockError):
-        state_from_json(json.dumps(doc))
-    doc["format_version"] = "1.0"
-    doc["kind"] = "something-else"
-    with pytest.raises(FockError):
-        state_from_json(json.dumps(doc))
+    documents = [
+        (state_to_json(FockState.from_occupation((1,))), state_from_json),
+        (unitary_to_json(np.eye(2)), unitary_from_json),
+    ]
+    for text, reader in documents:
+        doc = json.loads(text)
+        doc["format_version"] = "2.0"
+        with pytest.raises(FockError):
+            reader(json.dumps(doc))
+        doc["format_version"] = "1.0"
+        doc["kind"] = "something-else"
+        with pytest.raises(FockError):
+            reader(json.dumps(doc))

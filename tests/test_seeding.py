@@ -37,3 +37,14 @@ def test_draws_look_uniform():
     x = derive_rng(123, "check").random(20000)
     assert abs(x.mean() - 0.5) < 0.02
     assert abs(x.var() - 1 / 12) < 0.01
+
+
+def test_integer_ids_are_canonical():
+    assert derive_rng(1, 3).random() == 0.20784164733122512
+    for same in (np.int64(3), np.uint8(3), np.int32(3)):
+        assert derive_rng(1, same).random() == derive_rng(1, 3).random()
+    assert derive_rng(1, np.str_("x"), np.int64(7)).random() == \
+        derive_rng(1, "x", 7).random()
+    for bad in (3.0, None, b"x", (1, 2)):
+        with pytest.raises(TypeError):
+            derive_rng(1, bad)
