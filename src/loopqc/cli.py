@@ -40,8 +40,11 @@ _INPUT_ERRORS = (FockError, LoopError, CompileError, GateError, GraphError,
                  ValueError)
 
 
+# Every echo names its stream.  Without ``file=``, click caches a wrapper
+# for each redirected stdout/stderr, and that cache entry keeps the stream
+# and everything written to it alive for the life of the process.
 def _fail(code: int, message) -> None:
-    click.echo(f"error: {message}", err=True)
+    click.echo(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -60,7 +63,7 @@ def _guard(fn):
 
 
 def _emit(text: str, out_path) -> None:
-    click.echo(text)
+    click.echo(text, file=sys.stdout)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
@@ -107,7 +110,7 @@ def cmd_compile(unitary_file, out, tol, seed):
     body = {"n_bins": u.shape[0], "n_passes": schedule.n_passes,
             "max_error": error, "ok": True,
             "schedule": json.loads(schedule_text)}
-    click.echo(_report("compile", config, body))
+    click.echo(_report("compile", config, body), file=sys.stdout)
 
 
 # --------------------------------------------------------------- simulate

@@ -4,8 +4,9 @@ Pipeline: an n-mode unitary is first decomposed into a nearest-neighbour
 mesh of 2x2 rotations (``reck_decompose``), then each rotation is turned
 into one coupler pass by a sweep that carries residual diagonal phases
 forward (``compile_unitary``).  The synthesis is exact up to float rounding:
-``verify_schedule`` re-simulates the schedule photon-by-photon and reports
-the phase-free max-norm error, which is typically below 1e-12.
+``verify_schedule`` rebuilds the schedule's transfer matrix as the product of
+its pass matrices (``loop.pass_matrix``) and reports the phase-free max-norm
+error, which is typically below 1e-12.
 
 Pass synthesis rests on three closed forms for a cascade pass over n bins
 (see loop.py for the machine model).  Writing theta_t, phi_t for the tick
@@ -288,7 +289,7 @@ def compile_unitary(u, config: LoopConfig | None = None, *,
     Each mesh rotation becomes one coupling pass; diagonal phases are swept
     forward through the mesh and emitted (at most) as one final phase pass,
     so the schedule holds at most n(n-1)/2 + 1 passes.  The result is
-    re-simulated and a VerificationError raised if the phase-free max-norm
+    verified and a VerificationError raised if the phase-free max-norm
     error reaches ``tol``.
     """
     m = _as_matrix(u)
@@ -326,8 +327,8 @@ def compile_unitary(u, config: LoopConfig | None = None, *,
 
 
 def verify_schedule(schedule: LoopSchedule, u) -> float:
-    """Re-simulate a passive schedule and return the phase-free max-norm
-    distance between its transfer matrix and the target."""
+    """Rebuild a passive schedule's transfer matrix from its passes and
+    return the phase-free max-norm distance to the target."""
     m = _as_matrix(u)
     a = effective_unitary(schedule).matrix
     if a.shape != m.shape:

@@ -33,7 +33,7 @@ from .fock import (
     measure_modes,
     post_select,
 )
-from .loop import LoopConfig, Machine
+from .loop import LoopConfig, LoopSchedule, Machine, RoundPlan, run_schedule
 
 NS_THETA_PRE = math.pi / 8
 NS_THETA_MIX = math.acos(1.0 - math.sqrt(2.0))
@@ -339,15 +339,16 @@ def klm_round(logical: FockState, ancilla, u, controller=None, rng=None):
         raise GateError(
             f"gadget unitary is {u.shape}, needs ({total}, {total}) for "
             f"{n_l} logical + {n_a} ancilla bins")
-    machine = Machine(LoopConfig(n_bins=n_l, outer_delay_bins=total + 1))
-    machine.load_pulse_train(logical)
-    machine.inject_ancilla(ancilla)
-    schedule = compile_unitary(
+    config = LoopConfig(n_bins=n_l, outer_delay_bins=total + 1)
+    compiled = compile_unitary(
         u, LoopConfig(n_bins=total, outer_delay_bins=total + 1))
-    for round_plan in schedule.rounds:
-        for settings in round_plan.passes:
-            machine.run_pass(settings)
-    outcome = machine.extract_ancilla(tuple(range(n_l, total)), rng)
+    plan = RoundPlan(injection=ancilla, passes=compiled.rounds[0].passes,
+                     extraction=tuple(range(n_l, total)))
+    machine = Machine(config)
+    machine.load_pulse_train(logical)
+    final, record, _ = run_schedule(machine, LoopSchedule(config, (plan,)),
+                                    rng=rng)
+    outcome = record.entries[-1].outcome
     if controller is not None:
         controller(outcome)
-    return machine.train, outcome
+    return final, outcome

@@ -24,6 +24,16 @@ Two tick families keep the train aligned and are accepted:
 Anything else would strand amplitude between bin positions (the train
 "smears") and is rejected.
 
+A pass is a passive optic, so it has a fixed single-photon transfer matrix.
+``pass_matrix`` is the one pass model every run uses: it builds that n x n
+matrix in O(n^2) by carrying the inner-loop row across the n+1 ticks, and
+it makes every pass check (tick count, closed switches, tick family, the
+leak into slot 0 and the inner loop).  ``effective_unitary`` multiplies pass
+matrices, and ``run_schedule`` folds the passes of each round into one
+unitary applied to the Fock state once, between injection and extraction.
+``tick_pass`` streams a Fock state through the coupler one tick at a time;
+it is the slow oracle that tests check the matrix engine against.
+
 Ancilla bins are injected/extracted between passes through the outer-loop
 switches; extraction measures the trailing bins with photon-number
 detectors and appends the outcome to the machine's measurement record,
@@ -39,10 +49,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import (
-    FockError,
     FockState,
     ModeUnitary,
     apply_beamsplitter,
+    apply_mode_unitary,
     check_header,
     header,
     measure_modes,
@@ -141,6 +151,111 @@ def _classify(settings: PassSettings) -> str:
         "pass would smear the train: boundary ticks must both be fully "
         "open (cascade) or every tick closed (passthrough); got thetas "
         f"{[round(t, 6) for t in thetas]}")
+
+
+def _check_pass(settings: PassSettings, n: int) -> str:
+    """Validate one pass over an n-bin train and return its tick family."""
+    if n < 1:
+        raise LoopError("train is empty")
+    if settings.n_ticks != n + 1:
+        raise LoopError(
+            f"pass has {settings.n_ticks} ticks but the train needs "
+            f"{n + 1}")
+    if any(settings.entry_switch) or any(settings.exit_switch):
+        raise LoopError("outer-loop switches must stay closed during a "
+                        "pass; use inject/extract between passes")
+    return _classify(settings)
+
+
+def _passthrough_signs(settings: PassSettings, n: int) -> list:
+    """Each bin keeps its slot and picks up the sign of cos(theta)."""
+    return [1.0 if math.cos(t) >= 0 else -1.0 for t, _ in settings.central[:n]]
+
+
+def _check_leak(leak: float):
+    if leak > SMEAR_TOL:
+        raise LoopError(
+            f"train smeared: weight {leak:.3g} left outside the bin "
+            "grid after a cascade pass")
+
+
+def pass_matrix(settings: PassSettings, n: int) -> np.ndarray:
+    """Single-photon transfer matrix of one pass over an n-bin train.
+
+    Tick t mixes the inner loop with time slot t (slot n+1 at the last
+    tick), and slot t holds bin t alone until its tick, so row t of the
+    result is fixed by the inner-loop row just before tick t.  Carrying
+    that row across the ticks builds the matrix in O(n^2).  Slots 1..n-1
+    and n+1 are relabeled to bins 0..n-1; raises LoopError if any photon
+    leaves more than SMEAR_TOL in slot 0 or in the inner loop.
+    """
+    if _check_pass(settings, n) == "passthrough":
+        return np.diag(_passthrough_signs(settings, n)).astype(complex)
+    slots = np.zeros((n + 1, n), dtype=complex)
+    loop = np.zeros(n, dtype=complex)
+    for t, (theta, phi) in enumerate(settings.central):
+        c, s = math.cos(theta), math.sin(theta)
+        e = complex(math.cos(phi), math.sin(phi))
+        # beamsplitter on (inner loop, slot t); see fock.beamsplitter_matrix
+        slots[t] = (s * e) * loop
+        loop *= c
+        if t < n:
+            slots[t, t] = c
+            loop[t] = -s / e
+    _check_leak(float(np.max(np.abs(slots[0]) ** 2 + np.abs(loop) ** 2)))
+    return slots[1:]
+
+
+def _passes_unitary(passes, n: int) -> np.ndarray:
+    """Transfer matrix of a pass sequence: pass matrices, first rightmost."""
+    u = np.eye(n, dtype=complex)
+    for settings in passes:
+        u = pass_matrix(settings, n) @ u
+    return u
+
+
+def tick_pass(state: FockState, settings: PassSettings) -> FockState:
+    """Stream a Fock state through one pass, one coupler tick at a time.
+
+    The slow reference for ``pass_matrix``: the same checks, but every tick
+    is a two-mode beamsplitter on the full multi-photon state, with the
+    inner loop and the extra output slot as explicit modes.
+    """
+    n = state.n_modes
+    if _check_pass(settings, n) == "passthrough":
+        signs = _passthrough_signs(settings, n)
+        out = {}
+        for occ, amp in state.items():
+            s = 1.0
+            for t, x in enumerate(occ):
+                if x and signs[t] < 0:
+                    s *= (-1.0) ** x
+            out[occ] = amp * s
+        return FockState(n, state.total_photons, out,
+                         normalized=state.normalized)
+
+    # bins 0..n-1 plus inner-loop mode n, then an extra output slot n+1 for
+    # the final tick
+    work = state.tensor(FockState.from_occupation((0,)))
+    loop_mode = n
+    for t in range(n):
+        theta, phi = settings.central[t]
+        work = apply_beamsplitter(work, loop_mode, t, theta, phi)
+    work = work.tensor(FockState.from_occupation((0,)))
+    theta, phi = settings.central[n]
+    work = apply_beamsplitter(work, loop_mode, n + 1, theta, phi)
+
+    # slot 0 and the inner loop must be empty; drop them and shift labels
+    out = {}
+    leak = 0.0
+    for occ, amp in work.items():
+        if occ[0] != 0 or occ[loop_mode] != 0:
+            leak += abs(amp) ** 2
+            continue
+        out[occ[1:loop_mode] + (occ[loop_mode + 1],)] = amp
+    _check_leak(leak)
+    return FockState(n, state.total_photons, out,
+                     normalized=state.normalized)
 
 
 @dataclass
@@ -284,68 +399,25 @@ class Machine:
         })
         return outcome
 
-    def run_pass(self, settings: PassSettings, pass_index: int | None = None):
-        """Stream the train once through the central coupler."""
+    def _run_passes(self, passes, pass_indices):
+        """Apply the product of the passes' matrices to the train once,
+        with one trace event per tick."""
         if self.train is None:
             raise LoopError("no train loaded")
-        n = self.train_length
-        if n < 1:
-            raise LoopError("train is empty")
-        if settings.n_ticks != n + 1:
-            raise LoopError(
-                f"pass has {settings.n_ticks} ticks but the train needs "
-                f"{n + 1}")
-        if any(settings.entry_switch) or any(settings.exit_switch):
-            raise LoopError("outer-loop switches must stay closed during a "
-                            "pass; use inject/extract between passes")
-        family = _classify(settings)
-        for t, (theta, phi) in enumerate(settings.central):
-            self.trace.append({
-                "event": "tick", "round": self.round_index,
-                "pass": pass_index, "tick": t,
-                "theta": theta, "phi": phi,
-                "entry_open": False, "exit_open": False,
-            })
-        if family == "passthrough":
-            # each bin keeps its slot and picks up the sign of cos(theta)
-            signs = [1.0 if math.cos(t) >= 0 else -1.0
-                     for t, _ in settings.central]
-            out = {}
-            for occ, amp in self.train.items():
-                s = 1.0
-                for t, x in enumerate(occ):
-                    if x and signs[t] < 0:
-                        s *= (-1.0) ** x
-                out[occ] = amp * s
-            self.train = FockState(n, self.train.total_photons, out,
-                                   normalized=self.train.normalized)
-            return
+        u = _passes_unitary(passes, self.train_length)
+        for settings, k in zip(passes, pass_indices):
+            for t, (theta, phi) in enumerate(settings.central):
+                self.trace.append({
+                    "event": "tick", "round": self.round_index,
+                    "pass": k, "tick": t,
+                    "theta": theta, "phi": phi,
+                    "entry_open": False, "exit_open": False,
+                })
+        self.train = apply_mode_unitary(self.train, u)
 
-        # cascade: simulate bins 0..n-1 plus inner-loop mode n, then an extra
-        # output slot n+1 for the final tick
-        state = self.train.tensor(FockState.from_occupation((0,)))
-        loop_mode = n
-        for t in range(n):
-            theta, phi = settings.central[t]
-            state = apply_beamsplitter(state, loop_mode, t, theta, phi)
-        state = state.tensor(FockState.from_occupation((0,)))
-        theta, phi = settings.central[n]
-        state = apply_beamsplitter(state, loop_mode, n + 1, theta, phi)
-
-        # slot 0 and the inner loop must be empty; drop them and shift labels
-        out = {}
-        leak = 0.0
-        for occ, amp in state.items():
-            if occ[0] != 0 or occ[loop_mode] != 0:
-                leak += abs(amp) ** 2
-                continue
-            out[occ[1:loop_mode] + (occ[loop_mode + 1],)] = amp
-        if leak > SMEAR_TOL:
-            raise LoopError(
-                f"train smeared: weight {leak:.3g} left outside the bin "
-                "grid after a cascade pass")
-        self.train = FockState(n, self.train.total_photons, out,
-                               normalized=self.train.normalized)
+    def run_pass(self, settings: PassSettings, pass_index: int | None = None):
+        """Stream the train once through the central coupler."""
+        self._run_passes((settings,), (pass_index,))
 
 
 def run_schedule(machine: Machine, schedule: LoopSchedule, controller=None,
@@ -356,6 +428,8 @@ def run_schedule(machine: Machine, schedule: LoopSchedule, controller=None,
     every round after the first and may replace that round's pass list based
     on the measurement record so far (feed-forward).  ``rng`` drives
     extraction measurements and must be supplied if any round extracts.
+    The passes of a round are folded into one unitary, applied to the train
+    once between the round's injection and extraction.
 
     Returns ``(final_train, record, trace)``.
     """
@@ -368,8 +442,8 @@ def run_schedule(machine: Machine, schedule: LoopSchedule, controller=None,
         passes = rp.passes
         if controller is not None and r > 0:
             passes = tuple(controller(machine.record, rp.passes))
-        for k, ps in enumerate(passes):
-            machine.run_pass(ps, pass_index=k)
+        if passes:
+            machine._run_passes(passes, range(len(passes)))
         if rp.extraction is not None:
             machine.extract_ancilla(rp.extraction, rng)
     return machine.train, machine.record, machine.trace
@@ -378,27 +452,16 @@ def run_schedule(machine: Machine, schedule: LoopSchedule, controller=None,
 def effective_unitary(schedule: LoopSchedule) -> ModeUnitary:
     """Single-photon transfer matrix realized by a passive schedule.
 
-    Propagates one photon per input bin through every pass.  Schedules with
+    The product of the pass matrices of all its passes.  Schedules with
     injection or extraction do not define a fixed mode unitary and are
     rejected.
     """
     if not schedule.is_passive():
         raise LoopError("schedule with injection/extraction has no fixed "
                         "transfer matrix")
-    n = schedule.config.n_bins
-    u = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        m = Machine(schedule.config)
-        occ = [0] * n
-        occ[j] = 1
-        m.load_pulse_train(FockState.from_occupation(occ))
-        for rp in schedule.rounds:
-            for k, ps in enumerate(rp.passes):
-                m.run_pass(ps, pass_index=k)
-        for occ_out, amp in m.train.items():
-            i = occ_out.index(1)
-            u[i, j] = amp
-    return ModeUnitary(u)
+    return ModeUnitary(_passes_unitary(
+        [settings for rp in schedule.rounds for settings in rp.passes],
+        schedule.config.n_bins))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,12 @@ Each command is run through click's CliRunner; reports go to stdout as JSON
 the same command with the same seed must produce byte-identical output.
 """
 
+import contextlib
+import gc
 import hashlib
+import io
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -348,3 +352,21 @@ def test_different_seed_changes_samples(runner, tmp_path):
     ha = json.loads(a.stdout)["histogram"]
     hb = json.loads(b.stdout)["histogram"]
     assert ha != hb
+
+
+# ------------------------------------------------------------------ memory
+
+
+def test_in_process_calls_release_redirected_stdout():
+    """An in-process call must not keep the stream it printed to alive."""
+    refs = []
+    for seed in range(3):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            main.main(args=["bond", "0.5", "0.75", "--seed", str(seed)],
+                      prog_name="loopqc", standalone_mode=False)
+        assert buf.getvalue().startswith("p_gate,")
+        refs.append(weakref.ref(buf))
+        del buf
+    gc.collect()
+    assert [r() for r in refs] == [None] * 3

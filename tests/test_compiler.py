@@ -1,8 +1,9 @@
 """Tests for unitary decomposition and pass-schedule synthesis.
 
-The synthesis formulas are verified against the machine simulator
-(`effective_unitary`), which evolves photons tick by tick through the
-coupler — an independent route to the same matrix.
+The synthesis formulas are verified against the machine model
+(`effective_unitary`), which multiplies the transfer matrices that
+`loop.pass_matrix` builds from the raw coupler ticks; `tests/test_loop.py`
+checks those against a tick-by-tick Fock simulation.
 """
 
 import math
@@ -311,3 +312,38 @@ def test_compiled_schedule_acts_correctly_on_two_photons():
     keys = set(m.train.amplitudes) | set(expected.amplitudes)
     diff = max(abs(m.train.amplitude(k) - expected.amplitude(k)) for k in keys)
     assert diff < 1e-9
+
+
+# ------------------------------------------------------- large schedules
+
+
+def test_n32_compile_takes_one_pass_per_rotation():
+    n = 32
+    u = haar_unitary(n, np.random.default_rng([SEED, n]))
+    sched = compile_unitary(u)
+    assert sched.n_passes == n * (n - 1) // 2 + 1
+    assert verify_schedule(sched, u) < 1e-9
+
+
+def test_n64_schedule_of_2017_passes_keeps_unitarity_and_norm():
+    """Compile at n=64, then run two photons through all 2,017 passes."""
+    from loopqc.fock import NORM_TOL, FockState
+    from loopqc.loop import Machine, run_schedule
+
+    n = 64
+    u = haar_unitary(n, np.random.default_rng([SEED, n]))
+    sched = compile_unitary(u)
+    assert sched.n_passes == n * (n - 1) // 2 + 1 == 2017
+    a = effective_unitary(sched).matrix
+    assert phase_free_distance(a, u) < 1e-9  # verify_schedule's measure
+    assert np.max(np.abs(a.conj().T @ a - np.eye(n))) < NORM_TOL
+
+    occ_a, occ_b = [0] * n, [0] * n
+    occ_a[0] = occ_a[n - 1] = 1
+    occ_b[n // 2] = 2
+    state = FockState(n, 2, {tuple(occ_a): 0.6, tuple(occ_b): 0.8j})
+    m = Machine(sched.config)
+    m.load_pulse_train(state)
+    final, _, trace = run_schedule(m, sched)
+    assert abs(final.norm_squared() - 1.0) < NORM_TOL
+    assert sum(e["event"] == "tick" for e in trace) == sched.n_passes * (n + 1)

@@ -12,6 +12,10 @@ Hand-derived facts used as oracles:
 - Output bin p of any single pass can only depend on input bins <= p+1 (the
   inner loop stores exactly one bin of delay), so single-pass transfer
   matrices vanish above the first superdiagonal.
+
+The matrix engine (``pass_matrix``, which ``run_pass``, ``run_schedule`` and
+``effective_unitary`` all use) is checked against ``tick_pass``, which
+streams the multi-photon Fock state through the coupler one tick at a time.
 """
 
 import json
@@ -20,7 +24,7 @@ import math
 import numpy as np
 import pytest
 
-from loopqc.fock import FockState, apply_beamsplitter
+from loopqc.fock import FockState, apply_beamsplitter, apply_mode_unitary
 from loopqc.loop import (
     LoopConfig,
     LoopError,
@@ -29,9 +33,11 @@ from loopqc.loop import (
     PassSettings,
     RoundPlan,
     effective_unitary,
+    pass_matrix,
     run_schedule,
     schedule_from_json,
     schedule_to_json,
+    tick_pass,
     trace_to_jsonl,
 )
 
@@ -334,3 +340,139 @@ def test_cascade_pass_matches_direct_network():
                                     exit_phase=exit_phase))
     for occ, amp in expected.items():
         assert m.train.amplitude(occ) == pytest.approx(amp, abs=1e-12)
+
+
+# ------------------------------------------------- matrix engine vs ticks
+
+
+def random_pass(rng, n):
+    """A cascade pass with random interior ticks, or (one in three) a
+    passthrough pass whose closed ticks randomly flip signs."""
+    if rng.random() < 1 / 3:
+        return PassSettings(central=tuple(
+            (float(rng.choice([0.0, math.pi, -math.pi, 2 * math.pi])),
+             rng.uniform(-math.pi, math.pi)) for _ in range(n + 1)))
+    interior = [(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
+                for _ in range(n - 1)]
+    return PassSettings.cascade(interior,
+                                entry_phase=rng.uniform(-math.pi, math.pi),
+                                exit_phase=rng.uniform(-math.pi, math.pi))
+
+
+def random_state(rng, n, photons, n_terms, norm=1.0):
+    amps = {}
+    for _ in range(n_terms):
+        occ = [0] * n
+        for mode in rng.integers(n, size=photons):
+            occ[mode] += 1
+        amps[tuple(occ)] = complex(rng.standard_normal(), rng.standard_normal())
+    scale = norm / math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    return FockState(n, photons, {k: a * scale for k, a in amps.items()},
+                     normalized=norm == 1.0)
+
+
+def max_amplitude_gap(a, b):
+    keys = set(a.amplitudes) | set(b.amplitudes)
+    return max(abs(a.amplitude(k) - b.amplitude(k)) for k in keys)
+
+
+def test_pass_matrix_matches_tick_oracle_on_random_passes():
+    rng = np.random.default_rng(SEED + 10)
+    for trial in range(60):
+        n = int(rng.integers(2, 9))
+        photons = int(rng.integers(1, 4))
+        norm = 1.0 if trial % 2 else float(rng.uniform(0.2, 0.9))
+        state = random_state(rng, n, photons, int(rng.integers(1, 5)), norm)
+        settings = random_pass(rng, n)
+        expected = tick_pass(state, settings)
+
+        engine = apply_mode_unitary(state, pass_matrix(settings, n))
+        assert max_amplitude_gap(engine, expected) < 1e-12
+
+        m = Machine(LoopConfig(n_bins=n))
+        m.load_pulse_train(state)
+        m.run_pass(settings, pass_index=trial)
+        assert max_amplitude_gap(m.train, expected) < 1e-12
+        assert m.train.normalized == state.normalized
+        assert m.train.norm_squared() == pytest.approx(norm ** 2, abs=1e-12)
+
+
+def tick_run_schedule(machine, schedule, controller=None, rng=None):
+    """``run_schedule`` with every pass streamed tick by tick."""
+    for r, rp in enumerate(schedule.rounds):
+        machine.round_index = r
+        if rp.injection is not None:
+            machine.inject_ancilla(rp.injection)
+        passes = rp.passes
+        if controller is not None and r > 0:
+            passes = tuple(controller(machine.record, rp.passes))
+        for k, settings in enumerate(passes):
+            machine.train = tick_pass(machine.train, settings)
+            machine.trace.extend(
+                {"event": "tick", "round": r, "pass": k, "tick": t,
+                 "theta": theta, "phi": phi,
+                 "entry_open": False, "exit_open": False}
+                for t, (theta, phi) in enumerate(settings.central))
+        if rp.extraction is not None:
+            machine.extract_ancilla(rp.extraction, rng)
+    return machine.train, machine.record, machine.trace
+
+
+def test_run_schedule_matches_tick_oracle_with_feed_forward():
+    """Rounds grow the train 3 -> 5 -> 4 -> 5 -> 3 bins, with extraction
+    mid-schedule; the controller picks later rounds' passes from the last
+    outcome.  Both runs share the rng seed, so they sample the same path."""
+    rng = np.random.default_rng(SEED + 11)
+    for trial in range(12):
+        alt = {n: [random_pass(rng, n) for _ in range(2)] for n in (4, 5)}
+
+        def controller(record, planned):
+            if sum(record.entries[-1].outcome) % 2:
+                return alt[planned[0].n_ticks - 1]
+            return planned
+
+        cfg = LoopConfig(n_bins=3, outer_delay_bins=6)
+        schedule = LoopSchedule(cfg, (
+            RoundPlan(injection=(1, 0),
+                      passes=[random_pass(rng, 5) for _ in range(3)],
+                      extraction=(4,)),
+            RoundPlan(passes=[random_pass(rng, 4)], extraction=None),
+            RoundPlan(injection=(1,),
+                      passes=[random_pass(rng, 5) for _ in range(2)],
+                      extraction=(3, 4)),
+        ))
+        state = random_state(rng, 3, int(rng.integers(1, 3)), 3)
+        runs = []
+        for run in (run_schedule, tick_run_schedule):
+            m = Machine(cfg)
+            m.load_pulse_train(state)
+            runs.append(run(m, schedule, controller=controller,
+                            rng=np.random.default_rng([SEED, trial])))
+        (final, record, trace), (ref, ref_record, ref_trace) = runs
+        assert max_amplitude_gap(final, ref) < 1e-12
+        assert [e.outcome for e in record.entries] == \
+            [e.outcome for e in ref_record.entries]
+        for e, f in zip(record.entries, ref_record.entries):
+            assert e.probability == pytest.approx(f.probability, abs=1e-12)
+        strip = [{k: v for k, v in e.items() if k != "probability"}
+                 for e in trace]
+        assert strip == [{k: v for k, v in e.items() if k != "probability"}
+                         for e in ref_trace]
+
+
+def test_smearing_pass_rejected_by_every_route():
+    bad = PassSettings(central=((math.pi / 2, 0.0), (0.0, 0.0), (0.4, 0.0)))
+    state = FockState.from_occupation((1, 0))
+    with pytest.raises(LoopError):
+        pass_matrix(bad, 2)
+    with pytest.raises(LoopError):
+        tick_pass(state, bad)
+    m = Machine(LoopConfig(n_bins=2))
+    m.load_pulse_train(state)
+    with pytest.raises(LoopError):
+        m.run_pass(bad)
+    m = Machine(LoopConfig(n_bins=2))
+    m.load_pulse_train(state)
+    good = PassSettings.cascade([(0.3, 0.1)])
+    with pytest.raises(LoopError):
+        run_schedule(m, LoopSchedule.passive(m.config, [good, bad]))
