@@ -1,9 +1,15 @@
 """Graph states, local-Clifford frames, fusion, and star bonding.
 
-A cluster is tracked as a graph plus a single-qubit Clifford *frame* per
-vertex: the physical state is (tensor of frames) applied to the canonical
-graph state.  Pauli measurements are propagated with the usual
-local-complementation rules:
+A cluster is tracked as a graph (each vertex mapped to the frozenset of its
+neighbors) plus a single-qubit Clifford *frame* per vertex: the physical
+state is (tensor of frames) applied to the canonical graph state.  A frame
+is an index into the 24-element local Clifford group, whose product and
+Pauli-conjugation tables are built at import (Anders & Briegel, PRA 73,
+022334 (2006)); matrices are checked only where they enter.  ``frame(v)``
+returns the element's canonical matrix, which equals the composed product
+only up to global phase, so every check on a graph's state compares
+overlaps in absolute value.  Pauli measurements are propagated with the
+usual local-complementation rules:
 
 * Z on v: delete v; outcome 1 puts Z on every neighbor.
 * Y on v: locally complement at v, delete v; S (outcome 0) or S-dagger
@@ -53,43 +59,76 @@ class GraphError(ValueError):
 # --------------------------------------------------------------------------
 
 
-def _canonical_key(m) -> tuple:
-    m = np.asarray(m, dtype=complex)
-    flat = m.reshape(-1)
+def _canonical_key(m: np.ndarray) -> tuple:
     # entries of a single-qubit Clifford have magnitude 0, 1/sqrt(2), or 1,
-    # so the first entry above 0.4 is a stable phase reference
-    pivot = next(x for x in flat if abs(x) > 0.4)
-    fixed = flat * (abs(pivot) / pivot)
-    return tuple(np.round(fixed, 8).view(float))
+    # so the first entry above 0.4 is a stable phase reference (a matrix
+    # without one, or with a non-finite entry, matches no Clifford's key)
+    flat = m.ravel().tolist()
+    pivot = next((x for x in flat if abs(x) > 0.4), 1)
+    fixed = [x * (abs(pivot) / pivot) for x in flat]
+    return tuple(round(p, 8) for x in fixed for p in (x.real, x.imag))
 
 
-def _build_clifford_table():
-    by_key, by_tag = {}, {}
-    queue = [("", IDENTITY_2)]
-    by_key[_canonical_key(IDENTITY_2)] = ""
-    by_tag[""] = IDENTITY_2
-    while queue:
-        word, m = queue.pop(0)
-        for letter, gen in (("H", HADAMARD), ("S", PHASE_S)):
-            nw, nm = word + letter, m @ gen
-            key = _canonical_key(nm)
-            if key not in by_key:
-                by_key[key] = nw
-                by_tag[nw] = nm
-                queue.append((nw, nm))
-    return by_key, by_tag
+# Each generator with its conjugation of the Paulis x, y, z = 0, 1, 2, as
+# (axis, sign) with g^dag P g = sign * P_axis: H swaps X and Z and negates
+# Y; S takes X to -Y and Y to X.
+_GENERATORS = ((HADAMARD, ((2, 1), (1, -1), (0, 1))),
+               (PHASE_S, ((1, -1), (0, 1), (2, 1))))
 
 
-_TAG_BY_KEY, _MAT_BY_TAG = _build_clifford_table()
+def _clifford_group():
+    """Tables of the 24 elements, from 48 breadth-first H/S steps."""
+    tags, mats, origin = [""], [IDENTITY_2], [None]
+    index = {_canonical_key(IDENTITY_2): 0}
+    step, conj = [], [((0, 1), (1, 1), (2, 1))]
+    for k in range(24):
+        step.append({})
+        for letter, (gen, gen_conj) in zip("HS", _GENERATORS):
+            m = mats[k] @ gen
+            key = _canonical_key(m)
+            if key not in index:
+                index[key] = len(tags)
+                tags.append(tags[k] + letter)
+                mats.append(m)
+                origin.append((k, letter))
+                conj.append(tuple((gen_conj[a][0], s * gen_conj[a][1])
+                                  for a, s in conj[k]))
+            step[k][letter] = index[key]
+    # element b is element k times a letter, so a * b = (a * k) * letter
+    mul = []
+    for a in range(24):
+        row = [a]
+        for k, letter in origin[1:]:
+            row.append(step[row[k]][letter])
+        mul.append(tuple(row))
+    return tags, mats, index, tuple(mul), tuple(conj)
+
+
+# _MUL[a][b] is the element whose matrix is (matrix a) @ (matrix b);
+# _CONJ[f][p] = (axis, sign) with f^dag P_p f = sign * P_axis
+_TAGS, _MATRICES, _INDEX_BY_KEY, _MUL, _CONJ = _clifford_group()
+_MAT_BY_TAG = dict(zip(_TAGS, _MATRICES))
+
+
+def _clifford_index(m) -> int:
+    """Group index of a 2x2 Clifford matrix (up to global phase)."""
+    try:
+        a = np.asarray(m, dtype=complex)
+        if a.shape == (2, 2):
+            return _INDEX_BY_KEY[_canonical_key(a)]
+    except (KeyError, TypeError, ValueError):
+        pass
+    raise GraphError("frame must be a 2x2 single-qubit Clifford "
+                     "(up to global phase)")
+
+
+_Z, _S, _S_DAG, _SQRT_PLUS_IY, _SQRT_MINUS_IY = (_clifford_index(m) for m in (
+    PAULI_Z, PHASE_S, PHASE_S_DAG, SQRT_PLUS_IY, SQRT_MINUS_IY))
 
 
 def clifford_tag(m) -> str:
     """Canonical H/S word for a single-qubit Clifford (up to global phase)."""
-    try:
-        return _TAG_BY_KEY[_canonical_key(m)]
-    except KeyError:
-        raise GraphError("frame must be a single-qubit Clifford "
-                         "(up to global phase)") from None
+    return _TAGS[_clifford_index(m)]
 
 
 def clifford_from_tag(tag: str) -> np.ndarray:
@@ -108,98 +147,122 @@ class GraphState:
 
     Operations never mutate; each returns a new instance.  Vertex labels
     must be hashable and mutually sortable (ints or strings in practice).
+    ``frames`` maps each vertex whose frame is not the identity to its
+    Clifford group index; read a frame as a matrix with ``frame(v)``.
     """
 
     def __init__(self, vertices=(), edges=(), frames=None):
-        self.vertices = frozenset(vertices)
-        es = set()
+        adj = {v: set() for v in vertices}
         for e in edges:
             u, v = tuple(e)
             if u == v:
                 raise GraphError(f"self-loop on vertex {u!r}")
-            if u not in self.vertices or v not in self.vertices:
+            if u not in adj or v not in adj:
                 raise GraphError(f"edge ({u!r}, {v!r}) uses unknown vertices")
-            es.add(frozenset((u, v)))
-        self.edges = frozenset(es)
+            adj[u].add(v)
+            adj[v].add(u)
+        self._adj = {v: frozenset(nb) for v, nb in adj.items()}
         self.frames = {}
         for v, m in (frames or {}).items():
-            if v not in self.vertices:
+            if v not in adj:
                 raise GraphError(f"frame on unknown vertex {v!r}")
-            tag = clifford_tag(m)  # validates Clifford membership
-            if tag:
-                self.frames[v] = np.asarray(m, dtype=complex).copy()
+            f = _clifford_index(m)
+            if f:
+                self.frames[v] = f
+
+    @property
+    def vertices(self) -> frozenset:
+        return frozenset(self._adj)
+
+    @property
+    def edges(self) -> frozenset:
+        """Every edge as a 2-element frozenset, derived from the adjacency."""
+        return frozenset(frozenset((u, w))
+                         for u, nb in self._adj.items() for w in nb)
 
     def neighbors(self, v) -> frozenset:
-        if v not in self.vertices:
+        if v not in self._adj:
             raise GraphError(f"unknown vertex {v!r}")
-        return frozenset(w for e in self.edges if v in e for w in e - {v})
+        return self._adj[v]
 
     def degree(self, v) -> int:
         return len(self.neighbors(v))
 
     def frame(self, v) -> np.ndarray:
-        if v not in self.vertices:
+        if v not in self._adj:
             raise GraphError(f"unknown vertex {v!r}")
-        return self.frames.get(v, IDENTITY_2).copy()
+        return _MATRICES[self.frames.get(v, 0)].copy()
 
     def has_edge(self, u, v) -> bool:
-        return frozenset((u, v)) in self.edges
+        return v in self._adj.get(u, ())
 
-    def _replace(self, vertices=None, edges=None, frames=None) -> "GraphState":
+    def _replace(self, adj=None, frames=None) -> "GraphState":
+        """A graph that takes ownership of ``adj`` and ``frames``."""
         g = GraphState.__new__(GraphState)
-        g.vertices = self.vertices if vertices is None else frozenset(vertices)
-        g.edges = self.edges if edges is None else frozenset(
-            frozenset(e) for e in edges)
-        g.frames = dict(self.frames) if frames is None else dict(frames)
+        g._adj = self._adj if adj is None else adj
+        g.frames = self.frames if frames is None else frames
         return g
 
     def compose_frame(self, v, m) -> "GraphState":
         """Multiply a byproduct onto v's frame (byproduct acts first)."""
-        if v not in self.vertices:
+        if v not in self._adj:
             raise GraphError(f"unknown vertex {v!r}")
-        new = self.frames.get(v, IDENTITY_2) @ np.asarray(m, dtype=complex)
         frames = dict(self.frames)
-        if clifford_tag(new):
-            frames[v] = new
-        else:
-            frames.pop(v, None)
+        _compose(frames, (v,), _clifford_index(m))
         return self._replace(frames=frames)
 
     def __eq__(self, other):
         if not isinstance(other, GraphState):
             return NotImplemented
-        return (self.vertices == other.vertices
-                and self.edges == other.edges
-                and {v: clifford_tag(m) for v, m in self.frames.items()}
-                == {v: clifford_tag(m) for v, m in other.frames.items()})
+        return self._adj == other._adj and self.frames == other.frames
 
     def __repr__(self):
-        vs = ",".join(repr(v) for v in sorted(self.vertices))
+        vs = ",".join(repr(v) for v in sorted(self._adj))
         return (f"GraphState(vertices=[{vs}], edges={len(self.edges)}, "
                 f"frames={len(self.frames)})")
 
 
+def _compose(frames: dict, vertices, b: int):
+    """Compose Clifford b onto each vertex's frame, in place (b acts first).
+
+    This helper and the two below update a graph's private copies of its
+    frames and adjacency before ``_replace`` hands them to the result.
+    """
+    for w in vertices:
+        f = _MUL[frames.get(w, 0)][b]
+        if f:
+            frames[w] = f
+        else:
+            frames.pop(w, None)
+
+
+def _complement(adj: dict, v):
+    """Toggle every edge between two neighbors of v."""
+    nb = adj[v]
+    for a in nb:
+        adj[a] ^= nb - {a}
+
+
+def _delete_vertex(adj: dict, v):
+    for w in adj.pop(v):
+        adj[w] -= {v}
+
+
 def graph_union(ga: GraphState, gb: GraphState) -> GraphState:
     """Disjoint union; the two vertex sets must not overlap."""
-    clash = ga.vertices & gb.vertices
+    clash = ga._adj.keys() & gb._adj.keys()
     if clash:
         raise GraphError(f"vertex labels {sorted(clash)} appear in both graphs")
-    return GraphState(ga.vertices | gb.vertices,
-                      list(ga.edges) + list(gb.edges),
-                      {**ga.frames, **gb.frames})
+    return ga._replace({**ga._adj, **gb._adj}, {**ga.frames, **gb.frames})
 
 
 def local_complement(g: GraphState, v) -> GraphState:
     """Toggle every edge between two neighbors of v (graph geometry only)."""
-    nb = sorted(g.neighbors(v))
-    edges = set(g.edges)
-    for a, b in itertools.combinations(nb, 2):
-        e = frozenset((a, b))
-        if e in edges:
-            edges.remove(e)
-        else:
-            edges.add(e)
-    return g._replace(edges=edges)
+    if v not in g._adj:
+        raise GraphError(f"unknown vertex {v!r}")
+    adj = dict(g._adj)
+    _complement(adj, v)
+    return g._replace(adj=adj)
 
 
 def add_cz_edge(g: GraphState, u, v) -> GraphState:
@@ -212,90 +275,61 @@ def add_cz_edge(g: GraphState, u, v) -> GraphState:
     if u == v:
         raise GraphError(f"cannot add a self-loop on {u!r}")
     for w in (u, v):
-        if w not in g.vertices:
+        if w not in g._adj:
             raise GraphError(f"unknown vertex {w!r}")
         if w in g.frames:
             raise GraphError(
                 f"vertex {w!r} carries a non-identity frame; clear it "
                 "before applying a CZ")
-    e = frozenset((u, v))
-    edges = set(g.edges)
-    if e in edges:
-        edges.remove(e)
-    else:
-        edges.add(e)
-    return g._replace(edges=edges)
-
-
-def _delete_vertex(g: GraphState, v) -> GraphState:
-    frames = dict(g.frames)
-    frames.pop(v, None)
-    return g._replace(vertices=g.vertices - {v},
-                      edges=[e for e in g.edges if v not in e],
-                      frames=frames)
+    adj = dict(g._adj)
+    adj[u] ^= {v}
+    adj[v] ^= {u}
+    return g._replace(adj=adj)
 
 
 # --------------------------------------------------------------------------
 # Pauli measurements
 # --------------------------------------------------------------------------
 
-_PAULIS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
-
-def _conjugated_pauli(frame, pauli: str):
-    """Return (axis, sign) with frame^dag P frame = sign * axis."""
-    m = frame.conj().T @ _PAULIS[pauli] @ frame
-    for axis, p in _PAULIS.items():
-        for sign in (1, -1):
-            if np.allclose(m, sign * p, atol=1e-9):
-                return axis, sign
-    raise GraphError("frame does not map the measurement axis onto a Pauli")
-
-
-def _measure_graph_pauli(g: GraphState, v, axis: str, s: int) -> GraphState:
-    """Measurement rule for a bare graph vertex (identity frame on v)."""
-    nb = g.neighbors(v)
-    if axis == "z":
-        out = _delete_vertex(g, v)
+def _measure(g: GraphState, v, pauli: str, outcome: int) -> GraphState:
+    if isinstance(outcome, bool) or outcome not in (0, 1):
+        raise GraphError(f"outcome must be 0 or 1, got {outcome!r}")
+    if v not in g._adj:
+        raise GraphError(f"unknown vertex {v!r}")
+    # the rule for the Pauli that v's frame maps the requested one onto
+    axis, sign = _CONJ[g.frames.get(v, 0)]["xyz".index(pauli)]
+    s = outcome if sign > 0 else 1 - outcome
+    nb = g._adj[v]
+    adj, frames = dict(g._adj), dict(g.frames)
+    frames.pop(v, None)
+    if axis == 2:
+        _delete_vertex(adj, v)
         if s == 1:
-            for b in nb:
-                out = out.compose_frame(b, PAULI_Z)
-        return out
-    if axis == "y":
-        out = _delete_vertex(local_complement(g, v), v)
-        u = PHASE_S if s == 0 else PHASE_S_DAG
-        for b in nb:
-            out = out.compose_frame(b, u)
-        return out
-    # axis == "x"
-    if not nb:
+            _compose(frames, nb, _Z)
+    elif axis == 1:
+        _complement(adj, v)
+        _delete_vertex(adj, v)
+        _compose(frames, nb, _S if s == 0 else _S_DAG)
+    elif not nb:
         if s == 1:
             raise GraphError(
                 "X outcome 1 on an isolated vertex has probability zero")
-        return _delete_vertex(g, v)
-    b0 = min(nb)
-    nb0 = g.neighbors(b0)
-    out = local_complement(g, b0)
-    out = local_complement(out, v)
-    out = _delete_vertex(out, v)
-    out = local_complement(out, b0)
-    if s == 0:
-        out = out.compose_frame(b0, SQRT_PLUS_IY)
-        z_set = nb - nb0 - {b0}
+        _delete_vertex(adj, v)
     else:
-        out = out.compose_frame(b0, SQRT_MINUS_IY)
-        z_set = nb0 - nb - {v}
-    for b in z_set:
-        out = out.compose_frame(b, PAULI_Z)
-    return out
-
-
-def _measure(g: GraphState, v, pauli: str, outcome: int) -> GraphState:
-    if outcome not in (0, 1):
-        raise GraphError(f"outcome must be 0 or 1, got {outcome!r}")
-    axis, sign = _conjugated_pauli(g.frame(v), pauli)
-    s = outcome if sign > 0 else 1 - outcome
-    return _measure_graph_pauli(g, v, axis, s)
+        b0 = min(nb)
+        nb0 = adj[b0]
+        _complement(adj, b0)
+        _complement(adj, v)
+        _delete_vertex(adj, v)
+        _complement(adj, b0)
+        if s == 0:
+            _compose(frames, (b0,), _SQRT_PLUS_IY)
+            _compose(frames, nb - nb0 - {b0}, _Z)
+        else:
+            _compose(frames, (b0,), _SQRT_MINUS_IY)
+            _compose(frames, nb0 - nb - {v}, _Z)
+    return g._replace(adj, frames)
 
 
 def measure_x(g: GraphState, v, outcome: int = 0) -> GraphState:
@@ -521,21 +555,21 @@ def merge_vertices(g: GraphState, keep, drop) -> GraphState:
     if keep == drop:
         raise GraphError("cannot merge a vertex with itself")
     for w in (keep, drop):
-        if w not in g.vertices:
+        if w not in g._adj:
             raise GraphError(f"unknown vertex {w!r}")
         if w in g.frames:
             raise GraphError(
                 f"vertex {w!r} carries a non-identity frame; fusion rules "
                 "apply to bare graph vertices")
-    linked = g.has_edge(keep, drop)
-    new_nb = (g.neighbors(keep) ^ g.neighbors(drop)) - {keep, drop}
-    edges = [e for e in g.edges if keep not in e and drop not in e]
-    edges += [frozenset((keep, w)) for w in new_nb]
-    out = g._replace(vertices=g.vertices - {drop}, edges=edges)
-    out.frames.pop(drop, None)
-    if linked:
-        out = out.compose_frame(keep, PAULI_Z)
-    return out
+    adj, frames = dict(g._adj), dict(g.frames)
+    new_nb = (adj[keep] ^ adj[drop]) - {keep, drop}
+    if drop in adj[keep]:
+        _compose(frames, (keep,), _Z)
+    _delete_vertex(adj, drop)
+    for w in adj[keep] ^ new_nb:
+        adj[w] ^= {keep}
+    adj[keep] = new_nb
+    return g._replace(adj, frames)
 
 
 def apply_fusion_graph_rule(g: GraphState, va, vb, action: dict) -> GraphState:
@@ -575,7 +609,8 @@ def graph_to_fock(g: GraphState, cap: int = 6) -> FockState:
         raise GraphError(
             f"{m} vertices exceed the Fock cross-check cap of {cap}")
     index = {v: k for k, v in enumerate(verts)}
-    edge_idx = [tuple(sorted(index[w] for w in e)) for e in g.edges]
+    edge_idx = [(index[a], index[b]) for a, nb in g._adj.items()
+                for b in nb if index[a] < index[b]]
     scale = 2.0 ** (-m / 2)
     terms = {}
     for bits in itertools.product((0, 1), repeat=m):
@@ -589,7 +624,7 @@ def graph_to_fock(g: GraphState, cap: int = 6) -> FockState:
         u = np.eye(2 * m, dtype=complex)
         for v, f in g.frames.items():
             k = index[v]
-            u[np.ix_((2 * k, 2 * k + 1), (2 * k, 2 * k + 1))] = f
+            u[np.ix_((2 * k, 2 * k + 1), (2 * k, 2 * k + 1))] = _MATRICES[f]
         state = apply_mode_unitary(state, u)
     return state
 
@@ -637,18 +672,35 @@ def graph_to_json(g: GraphState) -> str:
         **header("graph-state"),
         "vertices": list(verts),
         "edges": sorted(sorted(e) for e in g.edges),
-        "frames": {str(v): clifford_tag(m) for v, m in g.frames.items()},
+        "frames": {str(v): _TAGS[f] for v, f in g.frames.items()},
     }
     return json.dumps(payload, sort_keys=True)
 
 
+def _labels(xs) -> bool:
+    """True if every item is an int or a str (a bool is neither here)."""
+    return all(type(x) in (int, str) for x in xs)
+
+
 def graph_from_json(text: str) -> GraphState:
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise GraphError("a graph-state document must be a JSON object")
     check_header(data, "graph-state", GraphError)
-    by_name = {str(v): v for v in data["vertices"]}
-    frames = {}
-    for name, tag in data.get("frames", {}).items():
+    vertices, edges = data.get("vertices"), data.get("edges")
+    frames = data.get("frames", {})
+    if not isinstance(vertices, list) or not _labels(vertices):
+        raise GraphError("'vertices' must be a list of int or string labels")
+    by_name = {str(v): v for v in vertices}
+    if len(by_name) != len(vertices):
+        raise GraphError("vertex labels must be distinct")
+    if not isinstance(edges, list) or not all(
+            type(e) is list and len(e) == 2 and _labels(e) for e in edges):
+        raise GraphError("'edges' must be a list of [label, label] pairs")
+    if not isinstance(frames, dict) or not _labels(frames.values()):
+        raise GraphError("'frames' must map vertex names to H/S tags")
+    for name in frames:
         if name not in by_name:
             raise GraphError(f"frame on unknown vertex {name!r}")
-        frames[by_name[name]] = clifford_from_tag(tag)
-    return GraphState(data["vertices"], data["edges"], frames)
+    return GraphState(vertices, edges, {by_name[name]: clifford_from_tag(tag)
+                                        for name, tag in frames.items()})

@@ -8,6 +8,7 @@ graph-rule output reproduces the conditional state up to global phase.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -39,7 +40,13 @@ from loopqc.cluster import (
     required_branches,
     waveplate_timebin,
     HADAMARD,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     PHASE_S,
+    PHASE_S_DAG,
+    SQRT_MINUS_IY,
+    SQRT_PLUS_IY,
 )
 from loopqc.fock import FockState, apply_beamsplitter, haar_unitary
 
@@ -114,6 +121,41 @@ def test_clifford_tag_rejects_non_clifford():
         clifford_tag(np.array([[1, 0], [0, np.exp(0.3j)]]))
     with pytest.raises(GraphError):
         clifford_from_tag("Q")
+
+
+@pytest.mark.parametrize("m", [
+    np.zeros((2, 2)),
+    np.full((2, 2), np.nan),
+    np.array([[np.inf, 0], [0, 1]]),
+    np.eye(3),
+    [1, 0, 0, 1],
+    [[1, 0], [0]],
+    "H",
+], ids=["zero", "nan", "inf", "3x3", "flat", "ragged", "string"])
+def test_degenerate_frames_raise_graph_error(m):
+    with pytest.raises(GraphError):
+        clifford_tag(m)
+    with pytest.raises(GraphError):
+        GraphState([0], frames={0: m})
+    with pytest.raises(GraphError):
+        GraphState([0]).compose_frame(0, m)
+
+
+def test_clifford_tables_match_matrix_products():
+    from loopqc.cluster import _CONJ, _MATRICES, _MUL
+    paulis = (PAULI_X, PAULI_Y, PAULI_Z)
+
+    def same_up_to_phase(a, b):
+        return abs(abs(np.trace(a.conj().T @ b)) - 2) < 1e-9
+
+    assert len(_MATRICES) == 24
+    for a, ma in enumerate(_MATRICES):
+        assert not any(same_up_to_phase(ma, mb) for mb in _MATRICES[:a])
+        for b, mb in enumerate(_MATRICES):
+            assert same_up_to_phase(_MATRICES[_MUL[a][b]], ma @ mb), (a, b)
+        for p, (axis, sign) in zip(paulis, _CONJ[a]):
+            assert np.allclose(ma.conj().T @ p @ ma, sign * paulis[axis],
+                               atol=1e-12), a
 
 
 # ------------------------------------------------------------------ graphs
@@ -230,6 +272,14 @@ def test_measurement_dispatch_through_frames():
         v = int(rng.integers(4))
         basis = "xyz"[int(rng.integers(3))]
         check_rule(g, v, basis, int(rng.integers(2)))
+
+
+@pytest.mark.parametrize("measure", [measure_x, measure_y, measure_z])
+def test_measurement_outcome_rejects_bools(measure):
+    g = GraphState([0, 1], [(0, 1)])
+    for outcome in (True, False, 2, -1):
+        with pytest.raises(GraphError):
+            measure(g, 0, outcome)
 
 
 def test_measurement_sequences_stay_consistent():
@@ -516,6 +566,39 @@ def test_graph_json_roundtrip():
     assert graph_to_json(back) == text
 
 
+GOOD_DOC = graph_to_json(GraphState([0, 1], [(0, 1)], frames={1: PHASE_S}))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("vertices"),
+    lambda d: d.update(vertices={"0": 0}),
+    lambda d: d.update(vertices=[0, 1, [2]]),
+    lambda d: d.update(vertices=[False, 1]),
+    lambda d: d.update(vertices=[0, 1, 1]),
+    lambda d: d.pop("edges"),
+    lambda d: d.update(edges=[[0, 1, 2]]),
+    lambda d: d.update(edges=[[0, True]]),
+    lambda d: d.update(edges=[[0, 7]]),
+    lambda d: d.update(frames=[["1", "S"]]),
+    lambda d: d.update(frames={"1": ["S"]}),
+    lambda d: d.update(frames={"9": "S"}),
+    lambda d: d.update(frames={"1": "Q"}),
+], ids=["missing-vertices", "vertices-object", "list-label", "bool-label",
+        "duplicate-label", "missing-edges", "three-ended-edge", "bool-endpoint",
+        "unknown-endpoint", "frames-list", "frame-tag-list",
+        "frame-unknown-vertex", "frame-unknown-tag"])
+def test_graph_json_rejects_malformed_documents(edit):
+    doc = json.loads(GOOD_DOC)
+    edit(doc)
+    with pytest.raises(GraphError):
+        graph_from_json(json.dumps(doc))
+
+
+def test_graph_json_rejects_non_object_document():
+    with pytest.raises(GraphError):
+        graph_from_json("[]")
+
+
 def test_graph_json_rejects_unknown_version():
     g = GraphState([0])
     text = graph_to_json(g).replace('"1.0"', '"2.0"')
@@ -547,3 +630,153 @@ def test_bond_success_trials_statistics():
     assert bond_success_trials(p, k, 0, rng) == 0
     with pytest.raises(GraphError):
         bond_success_trials(1.5, 2, 10, rng)
+
+
+# ------------------------------------------- reference edge-set/matrix rules
+
+
+PAULIS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
+
+
+class RefGraph:
+    """The graph rules on an edge set and frame matrices, kept only as the
+    oracle for ``GraphState``'s adjacency map and Clifford tables."""
+
+    def __init__(self, g):
+        self.v, self.e = set(g.vertices), set(g.edges)
+        self.f = {v: g.frame(v) for v in g.vertices}
+
+    def nb(self, v):
+        return {w for e in self.e if v in e for w in e - {v}}
+
+    def lc(self, v):
+        for a, b in itertools.combinations(self.nb(v), 2):
+            self.e ^= {frozenset((a, b))}
+
+    def delete(self, v):
+        self.v.remove(v)
+        self.e = {e for e in self.e if v not in e}
+        del self.f[v]
+
+    def byproduct(self, vs, m):
+        for w in vs:
+            self.f[w] = self.f[w] @ m
+
+    def measure(self, v, pauli, outcome):
+        m = self.f[v].conj().T @ PAULIS[pauli] @ self.f[v]
+        axis, sign = next((a, s) for a, p in PAULIS.items() for s in (1, -1)
+                          if np.allclose(m, s * p, atol=1e-9))
+        s, nb = (outcome if sign > 0 else 1 - outcome), self.nb(v)
+        if axis == "z":
+            self.delete(v)
+            self.byproduct(nb if s else (), PAULI_Z)
+        elif axis == "y":
+            self.lc(v)
+            self.delete(v)
+            self.byproduct(nb, PHASE_S_DAG if s else PHASE_S)
+        elif not nb:
+            if s:
+                raise GraphError("X outcome 1 on an isolated vertex")
+            self.delete(v)
+        else:
+            b0 = min(nb)
+            nb0 = self.nb(b0)
+            for w in (b0, v):
+                self.lc(w)
+            self.delete(v)
+            self.lc(b0)
+            self.byproduct([b0], SQRT_MINUS_IY if s else SQRT_PLUS_IY)
+            self.byproduct(nb0 - nb - {v} if s else nb - nb0 - {b0}, PAULI_Z)
+
+    def merge(self, keep, drop):
+        linked = frozenset((keep, drop)) in self.e
+        new_nb = (self.nb(keep) ^ self.nb(drop)) - {keep, drop}
+        self.delete(drop)
+        self.e = {e for e in self.e if keep not in e}
+        self.e |= {frozenset((keep, w)) for w in new_nb}
+        self.byproduct([keep] if linked else (), PAULI_Z)
+
+    def assert_matches(self, g):
+        assert g.vertices == self.v
+        assert g.edges == self.e
+        tags = {v: clifford_tag(m) for v, m in self.f.items()}
+        assert {v: clifford_tag(g.frame(v)) for v in g.vertices} == tags
+        assert set(g.frames) == {v for v, t in tags.items() if t}
+
+
+def random_framed_graph(rng, n):
+    from loopqc.cluster import _MAT_BY_TAG
+    tags = sorted(_MAT_BY_TAG)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
+             if rng.random() < 3.0 / n]
+    frames = {v: clifford_from_tag(tags[int(rng.integers(24))])
+              for v in range(n) if rng.random() < 0.5}
+    return GraphState(range(n), pairs, frames)
+
+
+def test_graph_rules_match_reference_on_large_framed_graphs():
+    rng = np.random.default_rng(SEED + 8)
+    for n in (10, 25, 60, 150):
+        for _ in range(3):
+            g = random_framed_graph(rng, n)
+            ref = RefGraph(g)
+            for _ in range(40):
+                if len(ref.v) < 3:
+                    break
+                verts = sorted(ref.v)
+                v = verts[int(rng.integers(len(verts)))]
+                op = int(rng.integers(6))
+                bare = [w for w in verts if clifford_tag(ref.f[w]) == ""]
+                if op < 3:
+                    outcome = int(rng.integers(2))
+                    try:
+                        ref.measure(v, "xyz"[op], outcome)
+                    except GraphError:
+                        with pytest.raises(GraphError):
+                            MEASURE["xyz"[op]](g, v, outcome)
+                        continue
+                    g = MEASURE["xyz"[op]](g, v, outcome)
+                elif op == 3:
+                    ref.lc(v)
+                    g = local_complement(g, v)
+                elif len(bare) >= 2:
+                    a, b = (bare[i] for i in rng.choice(len(bare), 2, False))
+                    if op == 4:
+                        ref.e ^= {frozenset((a, b))}
+                        g = add_cz_edge(g, a, b)
+                    else:
+                        ref.merge(a, b)
+                        g = merge_vertices(g, a, b)
+                ref.assert_matches(g)
+
+
+def ref_bond(ga, gb, centers, p_gate, rng):
+    ref = RefGraph(graph_union(ga, gb))
+    consumed = 0
+    for leaf_a, leaf_b in zip(sorted(ga.neighbors(centers[0])),
+                              sorted(gb.neighbors(centers[1]))):
+        consumed += 1
+        if rng.random() < p_gate:
+            ref.e.add(frozenset((leaf_a, leaf_b)))
+            ref.measure(leaf_a, "y", int(rng.integers(2)))
+            ref.measure(leaf_b, "y", int(rng.integers(2)))
+            return True, ref, consumed
+        ref.measure(leaf_a, "z", int(rng.integers(2)))
+        ref.measure(leaf_b, "z", int(rng.integers(2)))
+    return False, ref, consumed
+
+
+@pytest.mark.parametrize("k, p_gate", [(1, 0.5), (4, 0.3), (72, 0.02)])
+def test_bond_matches_reference(k, p_gate):
+    ga = star(0, range(1, k + 1))
+    gb = star(1000, range(1001, 1001 + k))
+    outcomes = set()
+    for seed in range(30):
+        success, g, consumed = bond_micro_clusters(
+            ga, gb, (0, 1000), p_gate, np.random.default_rng(seed))
+        want, ref, want_consumed = ref_bond(ga, gb, (0, 1000), p_gate,
+                                            np.random.default_rng(seed))
+        assert (success, consumed) == (want, want_consumed)
+        ref.assert_matches(g)
+        outcomes.add(success)
+    assert outcomes == {True, False}
