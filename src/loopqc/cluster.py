@@ -152,12 +152,20 @@ class GraphState:
     """
 
     def __init__(self, vertices=(), edges=(), frames=None):
-        adj = {v: set() for v in vertices}
+        try:
+            adj = {v: set() for v in vertices}
+        except TypeError:
+            raise GraphError("vertices must be hashable labels") from None
         for e in edges:
-            u, v = tuple(e)
+            try:
+                u, v = tuple(e)
+                known = u in adj and v in adj
+            except (TypeError, ValueError):
+                raise GraphError(
+                    f"edge {e!r} must be a pair of hashable labels") from None
             if u == v:
                 raise GraphError(f"self-loop on vertex {u!r}")
-            if u not in adj or v not in adj:
+            if not known:
                 raise GraphError(f"edge ({u!r}, {v!r}) uses unknown vertices")
             adj[u].add(v)
             adj[v].add(u)
@@ -684,8 +692,6 @@ def _labels(xs) -> bool:
 
 def graph_from_json(text: str) -> GraphState:
     data = json.loads(text)
-    if not isinstance(data, dict):
-        raise GraphError("a graph-state document must be a JSON object")
     check_header(data, "graph-state", GraphError)
     vertices, edges = data.get("vertices"), data.get("edges")
     frames = data.get("frames", {})

@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -458,11 +459,56 @@ def header(kind: str) -> dict:
 
 def check_header(doc: dict, kind: str, error):
     """Raise ``error`` unless ``doc`` is a ``kind`` document of our major version."""
+    if not isinstance(doc, dict):
+        raise error(f"a {kind} document must be a JSON object")
     if doc.get("kind") != kind:
         raise error(f"expected kind {kind!r}, got {doc.get('kind')!r}")
     version = str(doc.get("format_version", ""))
     if version.split(".", 1)[0] != FORMAT_VERSION.split(".", 1)[0]:
         raise error(f"unsupported format version {version!r}")
+
+
+_REQUIRED = object()
+_FLOAT_MAX = sys.float_info.max
+
+
+def doc_field(error, obj, key: str, valid=None, default=_REQUIRED):
+    """``obj[key]`` from a parsed document, checked by the predicate ``valid``.
+
+    Raises ``error`` if ``obj`` is not a JSON object, if ``key`` is absent
+    and no ``default`` is given, or if ``valid`` rejects the value.
+    """
+    if not isinstance(obj, dict):
+        raise error(f"expected a JSON object holding {key!r}, "
+                    f"got {type(obj).__name__}")
+    if key not in obj:
+        if default is _REQUIRED:
+            raise error(f"missing field {key!r}")
+        return default
+    value = obj[key]
+    if valid is not None and not valid(value):
+        raise error(f"malformed field {key!r}: {value!r:.60}")
+    return value
+
+
+def is_count(x) -> bool:
+    """A non-negative JSON integer (a bool is not one)."""
+    return type(x) is int and x >= 0
+
+
+def is_real(x) -> bool:
+    """A JSON number that fits a finite float (a bool is not one).
+
+    NaN fails both comparisons; unlike ``math.isfinite``, they do not
+    overflow on a huge integer.
+    """
+    return type(x) in (int, float) and -_FLOAT_MAX <= x <= _FLOAT_MAX
+
+
+def list_of(valid=None, length=None):
+    """Predicate: a JSON list, of ``length`` items and each ``valid`` if given."""
+    return lambda xs: (type(xs) is list and length in (None, len(xs))
+                       and (valid is None or all(map(valid, xs))))
 
 
 def state_to_json(state: FockState) -> str:
@@ -483,9 +529,15 @@ def state_to_json(state: FockState) -> str:
 def state_from_json(text: str) -> FockState:
     doc = json.loads(text)
     check_header(doc, "fock-state", FockError)
-    amps = {tuple(t["occ"]): complex(t["re"], t["im"]) for t in doc["terms"]}
-    return FockState(doc["n_modes"], doc["total_photons"], amps,
-                     normalized=doc.get("normalized", True))
+    field = partial(doc_field, FockError)
+    amps = {}
+    for t in field(doc, "terms", list_of()):
+        amps[tuple(field(t, "occ", list_of(is_count)))] = complex(
+            field(t, "re", is_real), field(t, "im", is_real))
+    return FockState(field(doc, "n_modes", is_count),
+                     field(doc, "total_photons", is_count), amps,
+                     normalized=field(doc, "normalized",
+                                      lambda x: type(x) is bool, True))
 
 
 def unitary_to_json(u) -> str:
@@ -502,8 +554,9 @@ def unitary_to_json(u) -> str:
 def unitary_from_json(text: str) -> np.ndarray:
     doc = json.loads(text)
     check_header(doc, "mode-unitary", FockError)
-    m = np.array(doc["re"], dtype=float) + 1j * np.array(doc["im"], dtype=float)
-    if m.shape != (doc["dim"], doc["dim"]):
-        raise FockError("matrix shape does not match declared dim")
-    return m
+    field = partial(doc_field, FockError)
+    dim = field(doc, "dim", is_count)
+    square = list_of(list_of(is_real, dim), dim)
+    return (np.array(field(doc, "re", square), dtype=float)
+            + 1j * np.array(field(doc, "im", square), dtype=float))
 

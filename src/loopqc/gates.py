@@ -19,6 +19,7 @@ passes, and divert the ancillas to detectors.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -319,6 +320,23 @@ def gadget_library() -> dict:
 # --------------------------------------------------------------------------
 
 
+# distinct gadget unitaries whose compiled schedules are kept; a run uses a
+# handful (NS and CZ), so this bounds memory without ever evicting them
+_SCHEDULE_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=_SCHEDULE_CACHE_SIZE)
+def _compiled_schedule(u_bytes: bytes, total: int) -> LoopSchedule:
+    """The verified schedule of the total x total unitary held in ``u_bytes``.
+
+    Keyed on the matrix bytes, so a caller that mutates its array compiles
+    afresh.  A ``VerificationError`` propagates and is not cached.
+    """
+    u = np.frombuffer(u_bytes, dtype=complex).reshape(total, total)
+    return compile_unitary(
+        u, LoopConfig(n_bins=total, outer_delay_bins=total + 1))
+
+
 def klm_round(logical: FockState, ancilla, u, controller=None, rng=None):
     """Run one gadget round on the loop machine.
 
@@ -328,6 +346,10 @@ def klm_round(logical: FockState, ancilla, u, controller=None, rng=None):
     Returns ``(final_state, outcome)``; if a ``controller`` is given it is
     called with the outcome before the round returns, mirroring the feed-
     forward window of a multi-round schedule.
+
+    Each distinct ``u`` is compiled and verified once per process: a
+    bounded cache keeps the schedules of the most recently used unitaries,
+    keyed on the matrix bytes and the bin count.
     """
     if rng is None:
         raise GateError("klm_round samples detectors and requires an rng")
@@ -340,8 +362,7 @@ def klm_round(logical: FockState, ancilla, u, controller=None, rng=None):
             f"gadget unitary is {u.shape}, needs ({total}, {total}) for "
             f"{n_l} logical + {n_a} ancilla bins")
     config = LoopConfig(n_bins=n_l, outer_delay_bins=total + 1)
-    compiled = compile_unitary(
-        u, LoopConfig(n_bins=total, outer_delay_bins=total + 1))
+    compiled = _compiled_schedule(u.tobytes(), total)
     plan = RoundPlan(injection=ancilla, passes=compiled.rounds[0].passes,
                      extraction=tuple(range(n_l, total)))
     machine = Machine(config)

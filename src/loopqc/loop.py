@@ -45,6 +45,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -54,7 +55,11 @@ from .fock import (
     apply_beamsplitter,
     apply_mode_unitary,
     check_header,
+    doc_field,
     header,
+    is_count,
+    is_real,
+    list_of,
     measure_modes,
 )
 
@@ -500,26 +505,41 @@ def schedule_to_json(schedule: LoopSchedule) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+# one check per tick of every pass is the schedule reader's hot loop, so
+# these two spell out what list_of would build
+def _is_ticks(central) -> bool:
+    return type(central) is list and all(
+        type(tick) is list and len(tick) == 2
+        and is_real(tick[0]) and is_real(tick[1]) for tick in central)
+
+
+def _is_switches(switches) -> bool:
+    return type(switches) is list and all(type(b) is bool for b in switches)
+
+
 def schedule_from_json(text: str) -> LoopSchedule:
     doc = json.loads(text)
     check_header(doc, "loop-schedule", LoopError)
-    cfg = doc["config"]
-    config = LoopConfig(n_bins=cfg["n_bins"],
-                        outer_delay_bins=cfg["outer_delay_bins"],
-                        tau=cfg["tau"])
+    field = partial(doc_field, LoopError)
+    cfg = field(doc, "config")
+    config = LoopConfig(n_bins=field(cfg, "n_bins", is_count),
+                        outer_delay_bins=field(cfg, "outer_delay_bins", is_count),
+                        tau=field(cfg, "tau", is_real))
+    counts = list_of(is_count)
     rounds = []
-    for rp in doc["rounds"]:
+    for rp in field(doc, "rounds", list_of()):
         passes = tuple(
             PassSettings(
-                central=tuple((t, p) for t, p in ps["central"]),
-                entry_switch=tuple(ps["entry_switch"]),
-                exit_switch=tuple(ps["exit_switch"]),
+                central=field(ps, "central", _is_ticks),
+                entry_switch=field(ps, "entry_switch", _is_switches),
+                exit_switch=field(ps, "exit_switch", _is_switches),
             )
-            for ps in rp["passes"]
+            for ps in field(rp, "passes", list_of())
         )
+        # an absent injection or extraction reads as RoundPlan's None
         rounds.append(RoundPlan(
-            injection=tuple(rp["injection"]) if rp["injection"] is not None else None,
+            injection=field(rp, "injection", lambda x: x is None or counts(x), None),
             passes=passes,
-            extraction=tuple(rp["extraction"]) if rp["extraction"] is not None else None,
+            extraction=field(rp, "extraction", lambda x: x is None or counts(x), None),
         ))
     return LoopSchedule(config, tuple(rounds))

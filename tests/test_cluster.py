@@ -171,6 +171,12 @@ def test_graph_construction_and_errors():
         GraphState([0, 1], [(0, 2)])
     with pytest.raises(GraphError):
         GraphState([0], frames={1: np.eye(2)})
+    for edge in [(0, 1, 2), [0], 5, (0, [1]), ([0], 1)]:
+        with pytest.raises(GraphError):
+            GraphState([0, 1, 2], [edge])
+    for vertices in [[[0]], [0, {1}], 5]:
+        with pytest.raises(GraphError):
+            GraphState(vertices)
 
 
 def test_add_cz_edge_toggles():

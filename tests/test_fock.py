@@ -394,3 +394,65 @@ def test_json_version_rejection():
         doc["kind"] = "something-else"
         with pytest.raises(FockError):
             reader(json.dumps(doc))
+
+
+GOOD_STATE = state_to_json(FockState(2, 1, {(1, 0): 0.6, (0, 1): 0.8j}))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("terms"),
+    lambda d: d.update(terms={"0": {}}),
+    lambda d: d.update(terms=[[[1, 0], 0.6, 0.0]]),
+    lambda d: d["terms"][0].pop("occ"),
+    lambda d: d["terms"][0].pop("re"),
+    lambda d: d["terms"][1].pop("im"),
+    lambda d: d["terms"][0].update(occ=["1", 0]),
+    lambda d: d["terms"][0].update(occ=[True, 0]),
+    lambda d: d["terms"][0].update(re="0.6"),
+    lambda d: d["terms"][0].update(im=None),
+    lambda d: d["terms"][0].update(re=float("nan")),
+    lambda d: d["terms"][1].update(im=10 ** 400),
+    lambda d: d.pop("n_modes"),
+    lambda d: d.update(n_modes="2"),
+    lambda d: d.update(total_photons=1.0),
+    lambda d: d.update(normalized="yes"),
+], ids=["missing-terms", "terms-object", "term-list", "missing-occ",
+        "missing-re", "missing-im", "string-occ", "bool-occ", "string-re",
+        "null-im", "nan-re", "huge-im", "missing-n-modes", "string-n-modes",
+        "float-photons", "string-normalized"])
+def test_state_json_rejects_malformed_documents(edit):
+    doc = json.loads(GOOD_STATE)
+    edit(doc)
+    with pytest.raises(FockError):
+        state_from_json(json.dumps(doc))
+
+
+GOOD_UNITARY = unitary_to_json(np.eye(2))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("dim"),
+    lambda d: d.update(dim="2"),
+    lambda d: d.update(dim=3),
+    lambda d: d.pop("re"),
+    lambda d: d.pop("im"),
+    lambda d: d.update(re=[[1.0, 0.0], [0.0]]),
+    lambda d: d.update(re=[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+    lambda d: d.update(re=[[1.0, "0"], [0.0, 1.0]]),
+    lambda d: d.update(im=[[False, 0.0], [0.0, 0.0]]),
+    lambda d: d.update(im=[[float("inf"), 0.0], [0.0, 0.0]]),
+    lambda d: d.update(re="eye"),
+], ids=["missing-dim", "string-dim", "wrong-dim", "missing-re", "missing-im",
+        "ragged", "extra-row", "string-entry", "bool-entry", "inf-entry",
+        "string-matrix"])
+def test_unitary_json_rejects_malformed_documents(edit):
+    doc = json.loads(GOOD_UNITARY)
+    edit(doc)
+    with pytest.raises(FockError):
+        unitary_from_json(json.dumps(doc))
+
+
+def test_fock_json_rejects_non_object_documents():
+    for reader in (state_from_json, unitary_from_json):
+        with pytest.raises(FockError):
+            reader("[]")

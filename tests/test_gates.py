@@ -16,6 +16,8 @@ import math
 import numpy as np
 import pytest
 
+from loopqc import compiler, gates
+from loopqc.compiler import VerificationError, compile_unitary
 from loopqc.fock import (
     FockState,
     apply_beamsplitter,
@@ -299,3 +301,112 @@ def test_gadget_library_circuits_are_faithful():
         ns_gadget_unitary(), abs=1e-12)
     assert build(lib["gadgets"]["cz"], 8) == pytest.approx(
         cz_gadget_unitary(), abs=1e-12)
+
+
+
+# ------------------------------------------------------- compiled schedules
+
+
+@pytest.fixture
+def compile_calls(monkeypatch):
+    """Empty the schedule cache; list the bin count of each compile that
+    klm_round makes."""
+    calls = []
+
+    def counting(u, config=None, **kwargs):
+        calls.append(config.n_bins)
+        return compile_unitary(u, config, **kwargs)
+
+    gates._compiled_schedule.cache_clear()
+    monkeypatch.setattr(gates, "compile_unitary", counting)
+    yield calls
+    gates._compiled_schedule.cache_clear()
+
+
+def test_klm_round_compiles_each_unitary_once(compile_calls):
+    u = cz_gadget_unitary()
+    s = dual_rail_ket((1, 1))
+    for seed in range(5):
+        klm_round(s, (1, 0, 1, 0), u, rng=np.random.default_rng(seed))
+    klm_round(s, (1, 0, 1, 0), u.copy(), rng=np.random.default_rng(0))
+    assert compile_calls == [8]
+    # the logical/ancilla split only shapes the round, not the schedule
+    eye = np.eye(3, dtype=complex)
+    klm_round(FockState.from_occupation((1, 0)), (1,), eye,
+              rng=np.random.default_rng(0))
+    klm_round(FockState.from_occupation((1,)), (0, 1), eye,
+              rng=np.random.default_rng(0))
+    assert compile_calls == [8, 3]
+
+
+def test_klm_round_cache_misses_on_other_unitary_or_size(compile_calls):
+    rng = np.random.default_rng(SEED + 6)
+    logical = FockState.from_occupation((1, 0))
+    klm_round(logical, (1,), np.eye(3, dtype=complex), rng=rng)
+    klm_round(logical, (1,), haar_unitary(3, rng), rng=rng)
+    klm_round(logical, (1, 0), np.eye(4, dtype=complex), rng=rng)
+    klm_round(logical, (1,), np.eye(3, dtype=complex), rng=rng)
+    assert compile_calls == [3, 3, 4]
+
+
+def test_klm_round_sees_caller_mutating_its_unitary(compile_calls):
+    u = np.eye(3, dtype=complex)
+    logical = FockState.from_occupation((1, 0))
+    final, outcome = klm_round(logical, (0,), u, rng=np.random.default_rng(0))
+    assert outcome == (0,)
+    assert final.amplitude((1, 0)) == pytest.approx(1.0, abs=1e-12)
+    u[:] = u[[2, 1, 0]]  # now swaps the logical photon into the ancilla bin
+    final, outcome = klm_round(logical, (0,), u, rng=np.random.default_rng(0))
+    assert outcome == (1,)
+    assert final.amplitude((0, 0)) == pytest.approx(1.0, abs=1e-12)
+    assert compile_calls == [3, 3]
+
+
+def test_klm_round_does_not_cache_verification_failures(compile_calls,
+                                                        monkeypatch):
+    verify = compiler.verify_schedule
+    failing = [True]
+    monkeypatch.setattr(
+        compiler, "verify_schedule",
+        lambda schedule, u: 1.0 if failing[0] else verify(schedule, u))
+    logical = FockState.from_occupation((1, 0))
+    for _ in range(2):
+        with pytest.raises(VerificationError):
+            klm_round(logical, (1,), np.eye(3), rng=np.random.default_rng(0))
+    failing[0] = False
+    _, outcome = klm_round(logical, (1,), np.eye(3),
+                           rng=np.random.default_rng(0))
+    assert outcome == (1,)
+    assert compile_calls == [3, 3, 3]
+
+
+def test_cached_klm_rounds_match_fresh_compiles():
+    """40 seeded NS and CZ rounds each: a warm cache gives bit-identical
+    outcomes and amplitudes to a compile made afresh for every round."""
+    ns = embed(4, (0, 2, 3), ns_gadget_unitary())
+    cases = [(ns, (1, 0), ((2, 0), (1, 1), (0, 2))),
+             (cz_gadget_unitary(), (1, 0, 1, 0),
+              ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)))]
+    rng = np.random.default_rng(SEED + 7)
+    rounds = []
+    for u, ancilla, basis in cases:
+        for i in range(40):
+            amps = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(
+                len(basis))
+            amps /= np.linalg.norm(amps)
+            rounds.append((FockState(len(basis[0]), 2, dict(zip(basis, amps))),
+                           ancilla, u, SEED + i))
+
+    def run(logical, ancilla, u, seed):
+        final, outcome = klm_round(logical, ancilla, u,
+                                   rng=np.random.default_rng(seed))
+        return outcome, final.amplitudes
+
+    warm = [run(*r) for r in rounds]
+    fresh = []
+    for r in rounds:
+        gates._compiled_schedule.cache_clear()
+        fresh.append(run(*r))
+    assert warm == fresh
+    outcomes = [outcome for outcome, _ in warm]
+    assert (1, 0) in outcomes[:40] and len(set(outcomes[40:])) > 4

@@ -307,6 +307,62 @@ def test_schedule_json_roundtrip():
     with pytest.raises(LoopError):
         schedule_from_json(json.dumps(doc))
 
+    # an absent injection or extraction reads as RoundPlan's default None
+    passive = LoopSchedule.passive(cfg, plan.rounds[0].passes)
+    doc = json.loads(schedule_to_json(passive))
+    del doc["rounds"][0]["injection"], doc["rounds"][0]["extraction"]
+    assert schedule_from_json(json.dumps(doc)) == passive
+
+
+GOOD_SCHEDULE = schedule_to_json(LoopSchedule(
+    LoopConfig(n_bins=2, outer_delay_bins=5),
+    (RoundPlan(injection=(1, 0), passes=(PassSettings.cascade([(0.3, 0.4)]),),
+               extraction=(1,)),)))
+
+
+def _first_pass(doc):
+    return doc["rounds"][0]["passes"][0]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("config"),
+    lambda d: d.update(config=[2, 5, 1.0]),
+    lambda d: d["config"].pop("n_bins"),
+    lambda d: d["config"].update(n_bins="2"),
+    lambda d: d["config"].update(outer_delay_bins=True),
+    lambda d: d["config"].update(tau=float("nan")),
+    lambda d: d.pop("rounds"),
+    lambda d: d.update(rounds={"0": {}}),
+    lambda d: d.update(rounds=[[]]),
+    lambda d: d["rounds"][0].pop("passes"),
+    lambda d: d["rounds"][0].update(passes=[7]),
+    lambda d: _first_pass(d).pop("central"),
+    lambda d: _first_pass(d)["central"].append([0.1, 0.2, 0.3]),
+    lambda d: _first_pass(d)["central"][0].__setitem__(0, "0.3"),
+    lambda d: _first_pass(d)["central"][0].__setitem__(1, float("inf")),
+    lambda d: _first_pass(d)["central"][1].__setitem__(0, -10 ** 400),
+    lambda d: _first_pass(d).update(entry_switch=[0, 0]),
+    lambda d: _first_pass(d).pop("exit_switch"),
+    lambda d: d["rounds"][0].update(injection=[1.5, 0]),
+    lambda d: d["rounds"][0].update(injection=[-1, 0]),
+    lambda d: d["rounds"][0].update(extraction="1"),
+], ids=["missing-config", "config-list", "missing-n-bins", "string-n-bins",
+        "bool-delay", "nan-tau", "missing-rounds", "rounds-object",
+        "round-list", "missing-passes", "pass-number", "missing-central",
+        "three-part-tick", "string-angle", "inf-angle", "huge-angle", "int-switches",
+        "missing-exit-switch", "float-injection", "negative-injection",
+        "string-extraction"])
+def test_schedule_json_rejects_malformed_documents(edit):
+    doc = json.loads(GOOD_SCHEDULE)
+    edit(doc)
+    with pytest.raises(LoopError):
+        schedule_from_json(json.dumps(doc))
+
+
+def test_schedule_json_rejects_non_object_document():
+    with pytest.raises(LoopError):
+        schedule_from_json("[]")
+
 
 # ------------------------------------------------- cross-check vs direct fock
 
