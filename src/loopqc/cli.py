@@ -22,7 +22,6 @@ from .cluster import (
     fusion_type_i,
     fusion_type_ii,
     graph_to_fock,
-    graph_union,
     required_branches,
 )
 from .compiler import CompileError, VerificationError, compile_unitary, \
@@ -266,15 +265,12 @@ def _run_cz(seed, mode, bits):
 
 def _run_fusion(seed, mode, gadget):
     fuse = fusion_type_i if gadget == "fusion1" else fusion_type_ii
-    ga = GraphState([0, 1], [(0, 1)])
-    gb = GraphState([2, 3], [(2, 3)])
-    g = graph_union(ga, gb)
+    g = GraphState([0, 1, 2, 3], [(0, 1), (2, 3)])
     state = graph_to_fock(g)
     va, vb = 1, 2
     pair_a, pair_b = (2, 3), (4, 5)
     if mode == "postselect":
         # deterministic scan for the first heralded success
-        res = None
         for attempt in range(1000):
             res = fuse(state, pair_a, pair_b,
                        derive_rng(seed, "gates", gadget, "scan", attempt))

@@ -22,10 +22,10 @@ A vertex whose frame is not the identity is measured by conjugating the
 requested Pauli through the frame first, so e.g. measuring Y on a vertex
 carrying an S frame dispatches to the X rule with the outcome bit adjusted.
 
-Fock-level fusion of two dual-rail qubits (polarizing swap + diagonal
-waveplates + detectors) is provided alongside the graph-level prediction of
-what each detector pattern does to the cluster, so the two descriptions can
-be checked against each other.
+Fock-level fusion of two dual-rail qubits runs the ``fusion1``/``fusion2``
+entries of ``gates.GADGETS``; ``fusion_type_i``/``_ii`` map each detector
+pattern to what it does to the cluster, so the two descriptions can be
+checked against each other.
 """
 
 import itertools
@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockState, apply_beamsplitter, apply_mode_unitary, \
-    check_header, header, measure_modes, post_select, swap_modes
+from .fock import FockState, check_header, header
+from .gates import GADGETS, HeraldedResult, _run_gadget
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -448,110 +448,69 @@ def bond_success_trials(p_gate: float, k: int, trials: int, rng) -> int:
 
 
 def pbs_matrix() -> np.ndarray:
-    """Mode map of the bin-sorting swap on (h1, v1, h2, v2)."""
+    """Mode map of the bin-sorting swap on (h1, v1, h2, v2): the ``swap``
+    that both fusion gadgets apply first."""
     return np.array([[0, 0, 1, 0],
                      [0, 1, 0, 0],
                      [1, 0, 0, 0],
                      [0, 0, 0, 1]], dtype=complex)
 
 
-def pbs_timebin(state: FockState, bins) -> FockState:
-    """Swap the first and third of a four-bin block (h1, v1, h2, v2).
+@dataclass(frozen=True)
+class FusionResult(HeraldedResult):
+    """A fusion's ``HeraldedResult`` plus ``graph_action``, what the outcome
+    does to the cluster picture (see ``apply_fusion_graph_rule``)."""
 
-    This is the bin-sorting element: the h bins of the two qubits are
-    exchanged, the v bins pass through.
-    """
-    bins = tuple(int(b) for b in bins)
+    graph_action: dict
+
+
+def _fuse(gadget: str, state: FockState, pair_a, pair_b, rng):
+    """Run a fusion entry of ``GADGETS`` on the bins (h1, v1, h2, v2)."""
+    if rng is None:
+        raise GraphError("fusion samples detectors and requires an rng")
+    bins = tuple(int(b) for b in tuple(pair_a) + tuple(pair_b))
     if len(bins) != 4 or len(set(bins)) != 4 \
             or any(not 0 <= m < state.n_modes for m in bins):
         raise GraphError(f"bins {bins} must be four distinct modes")
-    return swap_modes(state, bins[0], bins[2])
-
-
-def waveplate_timebin(state: FockState, pair, theta: float = math.pi / 4,
-                      phi: float = 0.0) -> FockState:
-    """Beamsplitter between the two bins of one dual-rail pair."""
-    return apply_beamsplitter(state, pair[0], pair[1], theta, phi)
-
-
-@dataclass(frozen=True)
-class FusionResult:
-    """Detector record of one fusion attempt.
-
-    ``probability`` is the sampled outcome's probability and ``state`` the
-    conditional state on the surviving modes; ``success_probability`` is the
-    analytic weight of all success patterns for the given input.
-    ``graph_action`` describes what the outcome does to the cluster picture
-    (see ``apply_fusion_graph_rule``).
-    """
-
-    success: bool
-    outcome: tuple
-    probability: float
-    success_probability: float
-    state: FockState
-    graph_action: dict
+    return _run_gadget(GADGETS[gadget], state, bins, rng, False)
 
 
 def fusion_type_i(state: FockState, pair_a, pair_b, rng) -> FusionResult:
     """Fuse two dual-rail qubits, keeping the first one.
 
-    Swap the first bins, rotate the second pair by 45 degrees, and detect
-    its two bins.  One photon there heralds success: the logical content
-    merges onto the surviving pair, with a Z byproduct when the photon
-    lands in the first bin.  Zero or two photons herald failure and act as
-    Z measurements of both qubits (the surviving pair then holds vacuum or
-    both photons, not a qubit).
+    Runs ``GADGETS["fusion1"]``, which detects the second pair.  One photon
+    there heralds success: the logical content merges onto the surviving
+    pair, with a Z byproduct when the photon lands in the first bin.  Zero
+    or two photons herald failure and act as Z measurements of both qubits
+    (the surviving pair then holds vacuum or both photons, not a qubit).
     """
-    if rng is None:
-        raise GraphError("fusion samples detectors and requires an rng")
-    work = pbs_timebin(state, tuple(pair_a) + tuple(pair_b))
-    work = waveplate_timebin(work, pair_b)
-    success_probability = (post_select(work, pair_b, (1, 0))[0]
-                           + post_select(work, pair_b, (0, 1))[0])
-    outcome, cond, prob = measure_modes(work, pair_b, rng)
-    if outcome in ((1, 0), (0, 1)):
-        action = {"kind": "merge", "z_on_survivor": outcome == (1, 0)}
-        return FusionResult(True, outcome, prob, success_probability, cond,
-                            action)
-    if sum(outcome) == 0:
-        action = {"kind": "separate", "z_outcomes": (1, 0)}
+    res = _fuse("fusion1", state, pair_a, pair_b, rng)
+    if res.success:
+        action = {"kind": "merge", "z_on_survivor": res.outcome == (1, 0)}
     else:
-        action = {"kind": "separate", "z_outcomes": (0, 1)}
-    return FusionResult(False, outcome, prob, success_probability, cond,
-                        action)
+        action = {"kind": "separate",
+                  "z_outcomes": (1, 0) if sum(res.outcome) == 0 else (0, 1)}
+    return FusionResult(**vars(res), graph_action=action)
 
 
 def fusion_type_ii(state: FockState, pair_a, pair_b, rng) -> FusionResult:
     """Fuse two dual-rail qubits, consuming both.
 
-    Swap the first bins, rotate both pairs by 45 degrees, and detect all
-    four bins.  One photon per pair heralds success: the cluster picture is
-    a merge followed by an X measurement of the merged vertex, with the
-    outcome bit set by the detector parity.  Two photons in one pair herald
-    failure (Z measurements of both qubits).
+    Runs ``GADGETS["fusion2"]``, which detects all four bins.  One photon
+    per pair heralds success: the cluster picture is a merge followed by an
+    X measurement of the merged vertex, with the outcome bit set by the
+    detector parity.  Two photons in one pair herald failure (Z
+    measurements of both qubits).
     """
-    if rng is None:
-        raise GraphError("fusion samples detectors and requires an rng")
-    work = pbs_timebin(state, tuple(pair_a) + tuple(pair_b))
-    work = waveplate_timebin(work, pair_a)
-    work = waveplate_timebin(work, pair_b)
-    modes = tuple(pair_a) + tuple(pair_b)
-    success_probability = sum(
-        post_select(work, modes, patt)[0]
-        for patt in ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)))
-    outcome, cond, prob = measure_modes(work, modes, rng)
-    a_count, b_count = outcome[0] + outcome[1], outcome[2] + outcome[3]
-    if a_count == 1 and b_count == 1:
+    res = _fuse("fusion2", state, pair_a, pair_b, rng)
+    h1, v1, h2, _ = res.outcome
+    if res.success:
         # minus sign iff exactly one photon sits in a first (h) bin
-        x_outcome = (outcome[0] + outcome[2]) % 2
-        action = {"kind": "merge_then_x", "x_outcome": x_outcome}
-        return FusionResult(True, outcome, prob, success_probability, cond,
-                            action)
-    action = {"kind": "separate",
-              "z_outcomes": (1, 0) if a_count == 2 else (0, 1)}
-    return FusionResult(False, outcome, prob, success_probability, cond,
-                        action)
+        action = {"kind": "merge_then_x", "x_outcome": (h1 + h2) % 2}
+    else:
+        action = {"kind": "separate",
+                  "z_outcomes": (1, 0) if h1 + v1 == 2 else (0, 1)}
+    return FusionResult(**vars(res), graph_action=action)
 
 
 def merge_vertices(g: GraphState, keep, drop) -> GraphState:
@@ -619,22 +578,20 @@ def graph_to_fock(g: GraphState, cap: int = 6) -> FockState:
     index = {v: k for k, v in enumerate(verts)}
     edge_idx = [(index[a], index[b]) for a, nb in g._adj.items()
                 for b in nb if index[a] < index[b]]
+    # one ket per basis state, qubit k as (1, 0) or (0, 1) on modes
+    # (2k, 2k+1): |+> per vertex and a sign per edge
+    kets = list(itertools.product(((1, 0), (0, 1)), repeat=m))
     scale = 2.0 ** (-m / 2)
-    terms = {}
-    for bits in itertools.product((0, 1), repeat=m):
-        sign = -1.0 if sum(bits[a] * bits[b] for a, b in edge_idx) % 2 else 1.0
-        occ = [0] * (2 * m)
-        for k, b in enumerate(bits):
-            occ[2 * k + b] = 1
-        terms[tuple(occ)] = sign * scale
-    state = FockState(2 * m, m, terms)
+    amps = [-scale if sum(o[a][1] * o[b][1] for a, b in edge_idx) % 2
+            else scale for o in kets]
     if g.frames:
-        u = np.eye(2 * m, dtype=complex)
+        # each frame is a 2x2 update on its own qubit, axis k of psi
+        psi = np.array(amps, dtype=complex).reshape((2,) * m)
         for v, f in g.frames.items():
             k = index[v]
-            u[np.ix_((2 * k, 2 * k + 1), (2 * k, 2 * k + 1))] = _MATRICES[f]
-        state = apply_mode_unitary(state, u)
-    return state
+            psi = np.moveaxis(np.tensordot(_MATRICES[f], psi, (1, k)), 0, k)
+        amps = psi.ravel().tolist()
+    return FockState(2 * m, m, {sum(o, ()): a for o, a in zip(kets, amps)})
 
 
 def project_dual_rail(state: FockState, pair, qubit_vector):

@@ -324,6 +324,16 @@ def post_select(state: FockState, modes, pattern):
     return prob, cond
 
 
+def outcome_distribution(state: FockState, modes) -> dict:
+    """Born weight of each photon-number pattern on ``modes``, summed in
+    the state's term order (as ``post_select`` sums it)."""
+    probs: dict = {}
+    for occ, amp in state.items():
+        pattern = tuple(occ[m] for m in modes)
+        probs[pattern] = probs.get(pattern, 0.0) + abs(amp) ** 2
+    return probs
+
+
 def measure_modes(state: FockState, modes, rng):
     """Photon-number measurement of a subset of modes.
 
@@ -337,10 +347,7 @@ def measure_modes(state: FockState, modes, rng):
         raise FockError(f"bad mode set {modes} for {state.n_modes}-mode state")
     if not state.amplitudes:
         raise FockError("cannot measure an empty state")
-    probs: dict = {}
-    for occ, amp in state.items():
-        pattern = tuple(occ[m] for m in modes)
-        probs[pattern] = probs.get(pattern, 0.0) + abs(amp) ** 2
+    probs = outcome_distribution(state, modes)
     patterns = sorted(probs)
     total = sum(probs[p] for p in patterns)
     u = rng.random() * total

@@ -7,6 +7,9 @@ the compiler can schedule).  Entangling operations need measurement: the
 heralded sign shift (NS) flips the phase of the two-photon component of one
 mode using one ancilla photon, one ancilla vacuum mode, and a detector
 pattern, and two of them sandwiched between 50:50 splitters make a CZ.
+Type-I/II fusion heralds on the qubits' own bins.  ``GADGETS`` holds all
+four as data, and ``_run_gadget`` is the one Fock-level runner that
+``ns_gate``, ``cz_gate`` and the cluster module's fusions call.
 
 The sign-shift circuit is the standard three-splitter one.  With mixing
 angles (pi/8, arccos(1 - sqrt 2), pi + pi/8) the herald (one photon in the
@@ -32,7 +35,9 @@ from .fock import (
     header,
     is_unitary,
     measure_modes,
+    outcome_distribution,
     post_select,
+    swap_modes,
 )
 from .loop import LoopConfig, LoopSchedule, Machine, RoundPlan, run_schedule
 
@@ -47,16 +52,19 @@ class GateError(ValueError):
 
 @dataclass(frozen=True)
 class HeraldedResult:
-    """Outcome of a heralded gate.
+    """Outcome of a heralded gadget.
 
-    ``state`` is the conditional state on the surviving modes given the
-    detector outcome that actually occurred (the heralded one when
-    ``postselect`` was used), renormalized.  ``probability`` is that
-    outcome's probability.
+    ``outcome`` is the detector pattern (the first success pattern when
+    ``postselect`` forced it) and ``probability`` its probability;
+    ``success_probability`` is the weight of all the gadget's success
+    patterns for this input.  ``state`` is the renormalized conditional
+    state on the undetected modes.
     """
 
     success: bool
+    outcome: tuple
     probability: float
+    success_probability: float
     state: FockState
 
 
@@ -65,16 +73,29 @@ class Gadget:
     """A heralded circuit.
 
     ``modes`` names the signal modes, then one ancilla mode per entry of
-    ``ancilla``, the occupation injected there.  ``splitters`` lists
-    (i, j, theta) beamsplitters with phi = 0, in the order they act.  The
-    herald is the ``ancilla`` occupation, detected again on the trailing
-    modes.
+    ``ancilla``, the occupation injected there.  ``swap`` is an optional
+    pair of modes exchanged first; ``splitters`` then lists (i, j, theta)
+    beamsplitters with phi = 0, in the order they act.  Any of the
+    ``patterns`` (by default the ancilla occupation) on the ``detected``
+    modes (by default the ancilla modes) heralds success, with
+    ``success_probability`` for any input (NS, CZ) or Bell pairs (fusion).
     """
 
     modes: tuple
     ancilla: tuple
     splitters: tuple
     success_probability: float
+    swap: tuple = ()
+    detected: tuple = None
+    patterns: tuple = None
+
+    def __post_init__(self):
+        n = len(self.modes)
+        if self.detected is None:
+            object.__setattr__(self, "detected",
+                               tuple(range(n - len(self.ancilla), n)))
+        if self.patterns is None:
+            object.__setattr__(self, "patterns", (self.ancilla,))
 
 
 def _relabel(splitters, modes) -> tuple:
@@ -93,6 +114,16 @@ GADGETS["cz"] = Gadget(
     ((1, 3, math.pi / 4),) + _relabel(GADGETS["ns"].splitters, (1, 4, 5))
     + _relabel(GADGETS["ns"].splitters, (3, 6, 7)) + ((1, 3, -math.pi / 4),),
     0.0625)
+# two dual-rail qubits (h1, v1), (h2, v2): the bin sort swaps h1 and h2,
+# 45-degree waveplates rotate the detected pairs, and one photon in each
+# detected pair heralds success
+GADGETS["fusion1"] = Gadget(
+    ("h1", "v1", "h2", "v2"), (), ((2, 3, math.pi / 4),), 0.5,
+    swap=(0, 2), detected=(2, 3), patterns=((1, 0), (0, 1)))
+GADGETS["fusion2"] = Gadget(
+    ("h1", "v1", "h2", "v2"), (), ((0, 1, math.pi / 4), (2, 3, math.pi / 4)),
+    0.5, swap=(0, 2), detected=(0, 1, 2, 3),
+    patterns=((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)))
 
 
 def _gadget_unitary(gadget: Gadget) -> np.ndarray:
@@ -126,7 +157,7 @@ def _run_gadget(gadget: Gadget, state: FockState, signal_modes, rng,
                 postselect) -> HeraldedResult:
     """Run ``gadget`` with its signal modes on ``signal_modes`` of ``state``.
 
-    The ancilla modes are appended to the state and measured away again.
+    Appends the ancilla modes and measures the detected modes away.
     """
     if postselect and rng is not None:
         raise GateError("pass either rng or postselect=True, not both")
@@ -134,16 +165,24 @@ def _run_gadget(gadget: Gadget, state: FockState, signal_modes, rng,
         raise GateError("sampling a herald requires an rng "
                         "(or pass postselect=True)")
     n = state.n_modes
-    herald = tuple(range(n, n + len(gadget.ancilla)))
-    modes = tuple(signal_modes) + herald
-    work = state.tensor(FockState.from_occupation(gadget.ancilla))
+    modes = tuple(signal_modes) + tuple(range(n, n + len(gadget.ancilla)))
+    work = state.tensor(FockState.from_occupation(gadget.ancilla)) \
+        if gadget.ancilla else state
+    if gadget.swap:
+        work = swap_modes(work, *(modes[k] for k in gadget.swap))
     for i, j, theta in gadget.splitters:
         work = apply_beamsplitter(work, modes[i], modes[j], theta, 0.0)
+    detected = tuple(modes[k] for k in gadget.detected)
+    probs = outcome_distribution(work, detected)
+    # summed in the table's pattern order, which fixes the float
+    success_probability = sum(probs.get(p, 0.0) for p in gadget.patterns)
     if postselect:
-        prob, cond = post_select(work, herald, gadget.ancilla)
-        return HeraldedResult(prob > 0.0, prob, cond)
-    outcome, cond, prob = measure_modes(work, herald, rng)
-    return HeraldedResult(tuple(outcome) == gadget.ancilla, prob, cond)
+        outcome = gadget.patterns[0]
+        prob, cond = post_select(work, detected, outcome)
+    else:
+        outcome, cond, prob = measure_modes(work, detected, rng)
+    return HeraldedResult(prob > 0.0 and outcome in gadget.patterns, outcome,
+                          prob, success_probability, cond)
 
 
 def ns_gate(state: FockState, target: int, rng=None,
@@ -272,47 +311,44 @@ def single_qubit_gate(v, pair) -> PairwiseOp:
     return PairwiseOp(i, j, theta, phi, (0.0, lam1))
 
 
-def gadget_library() -> dict:
-    """Machine-readable description of the shipped gate gadgets.
-
-    Lists, per gadget, the mode roles, the splitter settings, the herald
-    pattern, and the Bell-pair/any-input success probability.  The CLI
-    emits this as JSON so external tooling can reproduce the circuits.
-    """
-    gadgets = {
-        name: {
+def _library_entry(g: Gadget) -> dict:
+    if g.ancilla:
+        # heralded by ancillas: the circuit as splitter settings
+        return {
             "modes": list(g.modes),
             "ancilla_occupation": list(g.ancilla),
             "beamsplitters": [{"modes": [i, j], "theta": theta, "phi": 0.0}
                               for i, j, theta in g.splitters],
-            "herald": {"modes": list(range(len(g.modes) - len(g.ancilla),
-                                           len(g.modes))),
-                       "pattern": list(g.ancilla)},
+            "herald": {"modes": list(g.detected),
+                       "pattern": list(g.patterns[0])},
             "success_probability": g.success_probability,
         }
-        for name, g in GADGETS.items()
-    }
+    # a fusion detects its own qubits: the circuit as named steps, with
+    # every splitter a 45-degree waveplate
+    i, j = g.swap
+    m = g.modes
+    detect = "all" if len(g.detected) == len(m) else \
+        f"({', '.join(m[k] for k in g.detected)})"
     return {
-        **header("gadget-library"),
-        "gadgets": {
-            **gadgets,
-            "fusion1": {
-                "modes": ["h1", "v1", "h2", "v2"],
-                "sequence": ["swap h1<->h2", "waveplate (h2, v2)",
-                             "detect (h2, v2)"],
-                "success_patterns": [[1, 0], [0, 1]],
-                "bell_pair_success_probability": 0.5,
-            },
-            "fusion2": {
-                "modes": ["h1", "v1", "h2", "v2"],
-                "sequence": ["swap h1<->h2", "waveplate (h1, v1)",
-                             "waveplate (h2, v2)", "detect all"],
-                "success_patterns": [[1, 0, 1, 0], [1, 0, 0, 1],
-                                     [0, 1, 1, 0], [0, 1, 0, 1]],
-                "bell_pair_success_probability": 0.5,
-            },
-        },
+        "modes": list(m),
+        "sequence": [f"swap {m[i]}<->{m[j]}"]
+        + [f"waveplate ({m[i]}, {m[j]})" for i, j, _ in g.splitters]
+        + [f"detect {detect}"],
+        "success_patterns": [list(pattern) for pattern in g.patterns],
+        "bell_pair_success_probability": g.success_probability,
     }
+
+
+def gadget_library() -> dict:
+    """Machine-readable description of the ``GADGETS`` table.
+
+    Lists, per gadget, the mode roles, the circuit, the herald or success
+    patterns, and the any-input/Bell-pair success probability.  The CLI
+    emits this as JSON so external tooling can reproduce the circuits.
+    """
+    return {**header("gadget-library"),
+            "gadgets": {name: _library_entry(g)
+                        for name, g in GADGETS.items()}}
 
 
 # --------------------------------------------------------------------------

@@ -35,10 +35,8 @@ from loopqc.cluster import (
     measure_z,
     merge_vertices,
     pbs_matrix,
-    pbs_timebin,
     project_dual_rail,
     required_branches,
-    waveplate_timebin,
     HADAMARD,
     PAULI_X,
     PAULI_Y,
@@ -48,7 +46,16 @@ from loopqc.cluster import (
     SQRT_MINUS_IY,
     SQRT_PLUS_IY,
 )
-from loopqc.fock import FockState, apply_beamsplitter, haar_unitary
+from loopqc.fock import (
+    FockState,
+    apply_beamsplitter,
+    apply_mode_unitary,
+    haar_unitary,
+    measure_modes,
+    post_select,
+    swap_modes,
+)
+from loopqc.gates import GADGETS
 
 SEED = 424217
 
@@ -321,11 +328,12 @@ def test_pbs_matrix_is_bin_sorting_permutation():
                        [1, 0, 0, 0],
                        [0, 0, 0, 1]], dtype=complex)
     assert np.array_equal(pbs_matrix(), expect)
-    # action on single-photon kets reproduces the columns exactly
-    for col in range(4):
+    # each fusion gadget's swap on single-photon kets reproduces the columns
+    for gadget, col in itertools.product(("fusion1", "fusion2"), range(4)):
         occ = [0, 0, 0, 0]
         occ[col] = 1
-        s = pbs_timebin(FockState.from_occupation(tuple(occ)), (0, 1, 2, 3))
+        s = swap_modes(FockState.from_occupation(tuple(occ)),
+                       *GADGETS[gadget].swap)
         for row in range(4):
             occ_r = [0, 0, 0, 0]
             occ_r[row] = 1
@@ -338,16 +346,10 @@ def test_pbs_is_involution():
     amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     amps /= np.linalg.norm(amps)
     s = FockState(4, 2, dict(zip(occs, amps)))
-    twice = pbs_timebin(pbs_timebin(s, (0, 1, 2, 3)), (0, 1, 2, 3))
+    swap = GADGETS["fusion1"].swap
+    twice = swap_modes(swap_modes(s, *swap), *swap)
     assert abs(twice.overlap(s)) == pytest.approx(1.0, abs=1e-12)
     assert twice.amplitude((1, 0, 1, 0)) == pytest.approx(amps[0])
-
-
-def test_waveplate_is_a_beamsplitter():
-    s = graph_to_fock(GraphState([0, 1], [(0, 1)]))
-    a = waveplate_timebin(s, (2, 3), 0.3, 0.9)
-    b = apply_beamsplitter(s, 2, 3, 0.3, 0.9)
-    assert abs(a.overlap(b)) == pytest.approx(1.0, abs=1e-12)
 
 
 def two_bell_pairs():
@@ -616,8 +618,14 @@ def test_graph_json_rejects_unknown_version():
 
 def test_pbs_rejects_bin_collisions():
     s = FockState.from_occupation((1, 0, 0, 1))
-    with pytest.raises(GraphError):
-        pbs_timebin(s, (0, 1, 1, 3))
+    rng = np.random.default_rng(0)
+    for fuse in (fusion_type_i, fusion_type_ii):
+        for pair_a, pair_b in (((0, 1), (1, 3)), ((0, 1), (2, 4)),
+                               ((0, 1), (2,)), ((-1, 1), (2, 3))):
+            with pytest.raises(GraphError):
+                fuse(s, pair_a, pair_b, rng)
+        with pytest.raises(GraphError):
+            fuse(s, (0, 1), (2, 3), None)
 
 
 def test_graph_to_fock_cap():
@@ -786,3 +794,102 @@ def test_bond_matches_reference(k, p_gate):
         ref.assert_matches(g)
         outcomes.add(success)
     assert outcomes == {True, False}
+
+
+# ---------------------------------- reference dense frames and fusion steps
+
+
+def dense_graph_to_fock(g):
+    """The graph state built from its definition, with every frame applied
+    at once as one dense 2m x 2m ``apply_mode_unitary``."""
+    verts = sorted(g.vertices)
+    m = len(verts)
+    terms = {}
+    for bits in itertools.product((0, 1), repeat=m):
+        flips = sum(bits[verts.index(a)] * bits[verts.index(b)]
+                    for a, b in map(tuple, g.edges))
+        occ = [0] * (2 * m)
+        for k, b in enumerate(bits):
+            occ[2 * k + b] = 1
+        terms[tuple(occ)] = (-1.0) ** flips * 2.0 ** (-m / 2)
+    u = np.eye(2 * m, dtype=complex)
+    for k, v in enumerate(verts):
+        u[2 * k:2 * k + 2, 2 * k:2 * k + 2] = g.frame(v)
+    return apply_mode_unitary(FockState(2 * m, m, terms), u)
+
+
+def ref_fusion(fusion_type, state, pair_a, pair_b, rng):
+    """The fusion steps written out: swap, waveplates, the success weight
+    from ``post_select``, then ``measure_modes``; returns (outcome,
+    probability, success probability, conditional state, graph action)."""
+    work = swap_modes(state, pair_a[0], pair_b[0])
+    for pair in (pair_b,) if fusion_type == 1 else (pair_a, pair_b):
+        work = apply_beamsplitter(work, pair[0], pair[1], math.pi / 4, 0.0)
+    if fusion_type == 1:
+        modes, patterns = pair_b, ((1, 0), (0, 1))
+    else:
+        modes = pair_a + pair_b
+        patterns = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
+    p_success = sum(post_select(work, modes, p)[0] for p in patterns)
+    outcome, cond, prob = measure_modes(work, modes, rng)
+    if fusion_type == 1 and outcome in patterns:
+        action = {"kind": "merge", "z_on_survivor": outcome == (1, 0)}
+    elif fusion_type == 1:
+        action = {"kind": "separate",
+                  "z_outcomes": (1, 0) if sum(outcome) == 0 else (0, 1)}
+    elif outcome in patterns:
+        action = {"kind": "merge_then_x",
+                  "x_outcome": (outcome[0] + outcome[2]) % 2}
+    else:
+        action = {"kind": "separate",
+                  "z_outcomes": (1, 0) if sum(outcome[:2]) == 2 else (0, 1)}
+    return outcome, prob, p_success, cond, action
+
+
+def test_graph_to_fock_matches_dense_frame_reference():
+    rng = np.random.default_rng(SEED + 11)
+    for n in range(1, 7):
+        for _ in range(8):
+            g = random_framed_graph(rng, n)
+            got, want = graph_to_fock(g), dense_graph_to_fock(g)
+            assert (got.n_modes, got.total_photons) == (2 * n, n)
+            for occ in set(got.amplitudes) | set(want.amplitudes):
+                assert abs(got.amplitude(occ) - want.amplitude(occ)) < 1e-12
+
+
+def test_fusion_matches_reference_steps_on_framed_graphs():
+    rng = np.random.default_rng(SEED + 12)
+    runs = 0
+    for n in range(2, 7):
+        for trial in range(3):
+            g = random_framed_graph(rng, n)
+            state = graph_to_fock(g)
+            for qa, qb in itertools.permutations(range(n), 2):
+                pa, pb = (2 * qa, 2 * qa + 1), (2 * qb, 2 * qb + 1)
+                for fusion_type, fuse in ((1, fusion_type_i),
+                                          (2, fusion_type_ii)):
+                    seed = (n, trial, qa, qb, fusion_type)
+                    res = fuse(state, pa, pb, np.random.default_rng(seed))
+                    outcome, prob, p_success, cond, action = ref_fusion(
+                        fusion_type, state, pa, pb,
+                        np.random.default_rng(seed))
+                    assert res.outcome == outcome
+                    assert res.graph_action == action
+                    assert res.success == (action["kind"] != "separate")
+                    assert abs(res.probability - prob) < 1e-12
+                    assert abs(res.success_probability - p_success) < 1e-12
+                    assert (res.state.n_modes, res.state.total_photons) \
+                        == (cond.n_modes, cond.total_photons)
+                    assert res.state.amplitudes == cond.amplitudes
+                    runs += 1
+    assert runs == 2 * sum(n * (n - 1) * 3 for n in range(2, 7))
+
+
+def test_fusion_does_not_rebuild_the_state_for_ancillas(monkeypatch):
+    def no_tensor(*args):
+        raise AssertionError("a fusion has no ancilla to append")
+
+    g, state = fused_input(*two_bell_pairs())
+    monkeypatch.setattr(FockState, "tensor", no_tensor)
+    for fuse in (fusion_type_i, fusion_type_ii):
+        fuse(state, rails(g, 1), rails(g, 10), np.random.default_rng(0))

@@ -22,6 +22,7 @@ from loopqc.fock import (
     beamsplitter_matrix,
     haar_unitary,
     measure_modes,
+    outcome_distribution,
     output_probability,
     permanent,
     phase_free_distance,
@@ -334,6 +335,22 @@ def test_measure_modes_statistics():
             assert cond.amplitude((0,)) == pytest.approx(1.0)
     # binomial: mean 0.36, sigma ~ 0.0034 for 20k shots; allow 4 sigma
     assert abs(hits / n_shots - 0.36) < 4 * math.sqrt(0.36 * 0.64 / n_shots)
+
+
+def test_outcome_distribution_matches_post_select():
+    rng = np.random.default_rng(SEED + 6)
+    s = apply_mode_unitary(FockState.from_occupation((1, 1, 1, 0)),
+                           haar_unitary(4, rng))
+    for modes in ((0,), (1, 3), (3, 0, 2)):
+        probs = outcome_distribution(s, modes)
+        assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
+        for pattern, prob in probs.items():
+            # summed in the same order, so the same float
+            assert post_select(s, modes, pattern)[0] == prob
+        # every draw is a pattern of the distribution
+        drawn = {measure_modes(s, modes, np.random.default_rng(k))[0]
+                 for k in range(400)}
+        assert drawn <= set(probs)
 
 
 # ---------------------------------------------------------------- utilities

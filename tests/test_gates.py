@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from loopqc import compiler, gates
+from loopqc.cluster import pbs_matrix
 from loopqc.compiler import VerificationError, compile_unitary
 from loopqc.fock import (
     FockState,
@@ -26,6 +27,7 @@ from loopqc.fock import (
     haar_unitary,
 )
 from loopqc.gates import (
+    GADGETS,
     GateError,
     HeraldedResult,
     NS_THETA_PRE,
@@ -98,6 +100,23 @@ def test_ns_engine_matches_closed_form():
     assert res.state.amplitude((0, 2)) == pytest.approx(r, abs=1e-10)
     assert res.state.amplitude((1, 1)) == pytest.approx(r, abs=1e-10)
     assert res.state.amplitude((2, 0)) == pytest.approx(-r, abs=1e-10)
+
+
+def test_heralded_results_report_outcome_and_success_weight():
+    res = cz_gate(dual_rail_ket((1, 1)), (0, 1), (2, 3), postselect=True)
+    assert res.success and res.outcome == (1, 0, 1, 0)
+    assert res.success_probability == pytest.approx(1 / 16, abs=1e-12)
+    # one success pattern, summed in the same order: the same float
+    assert res.probability == res.success_probability
+    r = 1 / math.sqrt(3)
+    s = FockState(2, 2, {(0, 2): r, (1, 1): r, (2, 0): r})
+    outcomes = set()
+    for seed in range(40):
+        res = ns_gate(s, 0, rng=np.random.default_rng(seed))
+        assert res.success == (res.outcome == (1, 0))
+        assert res.success_probability == pytest.approx(0.25, abs=1e-12)
+        outcomes.add(res.outcome)
+    assert (1, 0) in outcomes and len(outcomes) > 1
 
 
 def test_ns_herald_probability_is_input_independent():
@@ -301,6 +320,26 @@ def test_gadget_library_circuits_are_faithful():
         ns_gadget_unitary(), abs=1e-12)
     assert build(lib["gadgets"]["cz"], 8) == pytest.approx(
         cz_gadget_unitary(), abs=1e-12)
+
+    # each fusion circuit, rebuilt from its table entry: the bin-sorting
+    # swap, then 45-degree waveplates on the pairs that are detected
+    waveplate = beamsplitter_matrix(math.pi / 4, 0.0)
+    rotated = {"fusion1": [(2, 3)], "fusion2": [(0, 1), (2, 3)]}
+    for name, pairs in rotated.items():
+        entry = GADGETS[name]
+        assert entry.detected == sum(pairs, ()) and entry.ancilla == ()
+        i, j = entry.swap
+        u = np.eye(4, dtype=complex)
+        u[[i, j]] = u[[j, i]]
+        for i, j, theta in entry.splitters:
+            u = embed(4, (i, j), beamsplitter_matrix(theta, 0.0)) @ u
+        want = pbs_matrix()
+        for pair in pairs:
+            want = embed(4, pair, waveplate) @ want
+        assert u == pytest.approx(want, abs=1e-15)
+        assert lib["gadgets"][name]["success_patterns"] == [
+            list(p) for p in entry.patterns]
+        assert lib["gadgets"][name]["bell_pair_success_probability"] == 0.5
 
 
 
