@@ -28,10 +28,16 @@ the inner loop and exits at a later tick t with coefficient
 A general 2x2 target W factors as diag(e^{i lam}, 1) . G with G in that
 family (lam = arg W_{01}), and the leftover diagonal is either folded into
 later passes (the compiler sweep) or emitted as one extra phase pass.
+
+Blocks are validated only at the public entry points (``coupling_pass``,
+``reck_decompose``, ``compile_unitary``).  The sweep builds its blocks in
+scalar arithmetic and passes them unchecked to the tick builder; the
+end-to-end guard is ``verify_schedule``, which every compile runs.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -94,25 +100,32 @@ def reck_decompose(u):
     T_k is ops[k-1] embedded at (i, i+1); applying the ops in list order and
     then the phases reproduces U.  Exactly n(n-1)/2 ops are emitted.
     """
-    a = _as_matrix(u).copy()
-    n = a.shape[0]
+    m = _as_matrix(u)
+    n = m.shape[0]
+    cols = m.T.tolist()  # cols[c][k] = U[k, c]; each rotation mixes two
     ops = []
     for r in range(n - 1, 0, -1):
         for c in range(r):
-            x, v = a[r, c], a[r, c + 1]
+            a0, a1 = cols[c], cols[c + 1]
+            x, v = a0[r], a1[r]
             if abs(x) < 1e-14:
-                theta, phi = 0.0, 0.0
-            else:
-                theta = math.atan2(abs(x), abs(v))
-                phi = float(np.angle(x) - np.angle(v))
+                ops.append(PairwiseOp(c, c + 1, 0.0, 0.0))
+                continue
+            theta = math.atan2(abs(x), abs(v))
+            phi = cmath.phase(x) - cmath.phase(v)
             ops.append(PairwiseOp(c, c + 1, theta, phi))
-            t = embed(n, (c, c + 1), beamsplitter_matrix(theta, phi))
-            a = a @ t.conj().T
-    phases = np.angle(np.diagonal(a)).copy()
-    off = a - np.diag(np.diagonal(a))
-    if np.max(np.abs(off)) > 1e-9:
+            # a <- a . B(theta, phi)^dag on columns (c, c+1); rows below r
+            # are already eliminated and hold zeros in these columns
+            ct, z = math.cos(theta), cmath.rect(math.sin(theta), phi)
+            for k in range(r + 1):
+                p, q = a0[k], a1[k]
+                a0[k], a1[k] = p * ct - q * z, p * z.conjugate() + q * ct
+    phases = np.array([cmath.phase(cols[k][k]) for k in range(n)])
+    off = max((abs(z) for c, col in enumerate(cols)
+               for k, z in enumerate(col) if k != c), default=0.0)
+    if off > 1e-9:
         raise CompileError("elimination left non-diagonal residue "
-                           f"{np.max(np.abs(off)):.3g}; input not unitary?")
+                           f"{off:.3g}; input not unitary?")
     return ops, phases
 
 
@@ -193,40 +206,30 @@ def coupling_pass(n_bins: int, x: int, y: int, g) -> PassSettings:
     if abs(c.imag) > 1e-9 or c.real < -1e-9:
         raise CompileError(
             f"upper-right entry must be real non-negative, got {c:.6g}")
-    c = min(max(c.real, 0.0), 1.0)
-    s = abs(g[0, 0])
-    theta_m = math.atan2(s, c)
+    (g00, _), (g10, g11) = g.tolist()
+    return _coupling(n_bins, x, y, g00, float(c.real), g10, g11)
+
+
+def _coupling(n_bins, x, y, g00, g01, g10, g11) -> PassSettings:
+    """``coupling_pass`` of the family block [[g00, g01], [g10, g11]], given
+    as Python scalars (g01 real), with no checks."""
+    c = min(max(g01, 0.0), 1.0)
+    s = abs(g00)
     p = x * math.pi
-    if s > _EPS:
-        phi_m = p + math.pi + float(np.angle(g[0, 0]))
-    else:
-        phi_m = 0.0
+    phi_m = p + math.pi + cmath.phase(g00) if s > _EPS else 0.0
     if c > _EPS:
-        q = p + math.pi + float(np.angle(g[1, 0]))
+        q = p + math.pi + cmath.phase(g10)
     else:
-        q = phi_m + math.pi + float(np.angle(g[1, 1]))
-    central = []
-    for t in range(n_bins + 1):
-        if t <= x:
-            central.append((math.pi / 2, t * math.pi))
-        elif t < y:
-            central.append((0.0, 0.0))
-        elif t == y:
-            central.append((theta_m, phi_m))
-        else:
-            central.append((math.pi / 2, q + (t - y - 1) * math.pi))
+        q = phi_m + math.pi + cmath.phase(g11)
+    central = [(math.pi / 2, t * math.pi) for t in range(x + 1)]
+    central += [(0.0, 0.0)] * (y - x - 1)
+    central.append((math.atan2(s, c), phi_m))
+    central += [(math.pi / 2, q + k * math.pi) for k in range(n_bins - y)]
     return PassSettings(central=tuple(central))
 
 
 # ---------------------------------------------------------------------------
 # pairwise op -> passes
-
-
-def _split_family(w):
-    """Factor W = diag(e^{i lam}, 1) . G with G[0,1] real non-negative."""
-    lam = float(np.angle(w[0, 1])) if abs(w[0, 1]) > _EPS else 0.0
-    g = np.diag([np.exp(-1j * lam), 1.0]) @ w
-    return lam, g
 
 
 def _couple(n_bins, i, j, g):
@@ -266,7 +269,9 @@ def pairwise_to_passes(op: PairwiseOp, n_bins: int):
         mus[op.i] = float(np.angle(w[0, 0]))
         mus[op.j] = float(np.angle(w[1, 1]))
         return [phase_pass(n_bins, mus)]
-    lam, g = _split_family(w)
+    # W = diag(e^{i lam}, 1) . G with G[0, 1] real non-negative
+    lam = float(np.angle(w[0, 1]))
+    g = np.diag([np.exp(-1j * lam), 1.0]) @ w
     if n_bins == 2:
         # no bystanders: absorb the leftover phase globally
         return _couple(n_bins, op.i, op.j, np.exp(-1j * lam) * w)
@@ -301,19 +306,25 @@ def compile_unitary(u, config: LoopConfig | None = None, *,
             f"unitary has {n} modes but the machine is configured for "
             f"{config.n_bins} bins")
     ops, phases = reck_decompose(m)
-    pending = np.ones(n, dtype=complex)
+    pending = [1.0 + 0j] * n
     passes = []
     for op in ops:
         i, j = op.i, op.j
-        t2 = beamsplitter_matrix(op.theta, op.phi)
-        s2 = t2 @ np.diag([pending[i], pending[j]])
-        if abs(s2[0, 1]) < _EPS and abs(s2[1, 0]) < _EPS:
-            pending[i], pending[j] = s2[0, 0], s2[1, 1]
+        # S = B(theta, phi) . diag(pending_i, pending_j), entry by entry
+        ct, st = math.cos(op.theta), math.sin(op.theta)
+        e = complex(math.cos(op.phi), math.sin(op.phi))
+        s00, s01 = ct * pending[i], (-st / e) * pending[j]
+        s10, s11 = (st * e) * pending[i], ct * pending[j]
+        if abs(s01) < _EPS and abs(s10) < _EPS:
+            pending[i], pending[j] = s00, s11
             continue
-        lam, g = _split_family(s2)
-        passes.append(coupling_pass(n, i, j, g))
-        pending[i] = np.exp(1j * lam)
-        pending[j] = 1.0
+        # S = diag(e^{i lam}, 1) . G with G[0, 1] real non-negative
+        lam = cmath.phase(s01) if abs(s01) > _EPS else 0.0
+        shift = cmath.exp(-1j * lam)
+        passes.append(_coupling(n, i, j, shift * s00, (shift * s01).real,
+                                s10, s11))
+        pending[i] = cmath.exp(1j * lam)
+        pending[j] = 1.0 + 0j
     total = np.exp(1j * phases) * pending
     if np.max(np.abs(total - 1.0)) > 1e-13:
         passes.append(phase_pass(n, np.angle(total)))

@@ -154,8 +154,9 @@ def beamsplitter_matrix(theta: float, phi: float) -> np.ndarray:
 
 
 def is_unitary(m) -> bool:
-    """Whether the square matrix ``m`` satisfies m^dag m = 1 to UNITARY_ATOL."""
-    return np.allclose(m.conj().T @ m, np.eye(m.shape[0]), atol=UNITARY_ATOL)
+    """Whether the square matrix ``m`` has max|m^dag m - 1| <= UNITARY_ATOL."""
+    residual = m.conj().T @ m - np.eye(m.shape[0])
+    return bool(np.max(np.abs(residual), initial=0.0) <= UNITARY_ATOL)
 
 
 def _as_matrix(u) -> np.ndarray:
@@ -347,19 +348,22 @@ def measure_modes(state: FockState, modes, rng):
         raise FockError(f"bad mode set {modes} for {state.n_modes}-mode state")
     if not state.amplitudes:
         raise FockError("cannot measure an empty state")
-    probs = outcome_distribution(state, modes)
+    chosen = _draw(outcome_distribution(state, modes), rng)
+    prob, cond = post_select(state, modes, chosen)
+    return chosen, cond, prob
+
+
+def _draw(probs: dict, rng):
+    """One pattern of ``outcome_distribution``'s ``probs``, drawn with one
+    ``rng.random()`` over the sorted patterns."""
     patterns = sorted(probs)
-    total = sum(probs[p] for p in patterns)
-    u = rng.random() * total
+    u = rng.random() * sum(probs[p] for p in patterns)
     acc = 0.0
-    chosen = patterns[-1]
     for p in patterns:
         acc += probs[p]
         if u < acc:
-            chosen = p
-            break
-    prob, cond = post_select(state, modes, chosen)
-    return chosen, cond, prob
+            return p
+    return patterns[-1]
 
 
 def permanent(m, dim_cap: int = PERMANENT_DIM_CAP) -> complex:

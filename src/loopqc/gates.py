@@ -29,12 +29,12 @@ import numpy as np
 from .compiler import PairwiseOp, compile_unitary
 from .fock import (
     FockState,
+    _draw,
     apply_beamsplitter,
     beamsplitter_matrix,
     embed,
     header,
     is_unitary,
-    measure_modes,
     outcome_distribution,
     post_select,
     swap_modes,
@@ -176,11 +176,8 @@ def _run_gadget(gadget: Gadget, state: FockState, signal_modes, rng,
     probs = outcome_distribution(work, detected)
     # summed in the table's pattern order, which fixes the float
     success_probability = sum(probs.get(p, 0.0) for p in gadget.patterns)
-    if postselect:
-        outcome = gadget.patterns[0]
-        prob, cond = post_select(work, detected, outcome)
-    else:
-        outcome, cond, prob = measure_modes(work, detected, rng)
+    outcome = gadget.patterns[0] if postselect else _draw(probs, rng)
+    prob, cond = post_select(work, detected, outcome)
     return HeraldedResult(prob > 0.0 and outcome in gadget.patterns, outcome,
                           prob, success_probability, cond)
 
@@ -205,9 +202,12 @@ def cz_gate(state: FockState, pair_a, pair_b, rng=None,
     modes are appended internally; herald pattern (1, 0, 1, 0).  Success
     probability is 1/16 for any two-qubit input.
     """
-    modes = tuple(pair_a) + tuple(pair_b)
-    if len(set(modes)) != 4 or not all(0 <= m < state.n_modes for m in modes):
-        raise GateError(f"qubit rails {modes} must be four distinct modes")
+    pair_a, pair_b = tuple(pair_a), tuple(pair_b)
+    modes = pair_a + pair_b
+    if len(pair_a) != 2 or len(modes) != 4 or len(set(modes)) != 4 \
+            or not all(0 <= m < state.n_modes for m in modes):
+        raise GateError(f"qubit rails {pair_a}, {pair_b} must be two pairs "
+                        "of four distinct modes")
     return _run_gadget(GADGETS["cz"], state, modes, rng, postselect)
 
 

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import loopqc.compiler as compiler
 from loopqc.compiler import (
     CompileError,
     PairwiseOp,
@@ -24,8 +25,16 @@ from loopqc.compiler import (
     recompose,
     verify_schedule,
 )
-from loopqc.fock import beamsplitter_matrix, haar_unitary, phase_free_distance
-from loopqc.loop import LoopConfig, LoopSchedule, effective_unitary
+from loopqc.fock import (
+    FockError,
+    _as_matrix,
+    beamsplitter_matrix,
+    haar_unitary,
+    phase_free_distance,
+)
+from loopqc.gates import GateError, single_qubit_gate
+from loopqc.loop import LoopConfig, LoopSchedule, PassSettings, \
+    effective_unitary
 
 SEED = 40551
 
@@ -113,24 +122,61 @@ def test_block_rotation_two_disjoint_swaps():
 
 
 def test_coupling_pass_places_mixer_outputs():
-    """Couple bins (0, 2): outputs land on (1, 2), bystander 1 moves to 0."""
+    """Couple bins (0, 2): outputs land on (1, 2), bystander 1 moves to 0.
+    Diagonal and anti-diagonal blocks take the builder's edge branches."""
     rng = np.random.default_rng(SEED + 1)
     w = haar_unitary(2, rng)
-    g = np.diag([np.exp(-1j * np.angle(w[0, 1])), 1.0]) @ w
-    u = realized(3, [coupling_pass(3, 0, 2, g)])
-    expected = np.zeros((3, 3), dtype=complex)
-    expected[0, 1] = 1.0
-    expected[1, 0] = g[0, 0]
-    expected[1, 2] = g[0, 1]
-    expected[2, 0] = g[1, 0]
-    expected[2, 2] = g[1, 1]
-    assert np.max(np.abs(u - expected)) < 1e-12
+    blocks = [np.diag([np.exp(-1j * np.angle(w[0, 1])), 1.0]) @ w,
+              np.diag([1j, -1.0]), np.diag([np.exp(0.4j), np.exp(-2.1j)]),
+              np.array([[0, 1], [1j, 0]])]
+    for g in blocks:
+        u = realized(3, [coupling_pass(3, 0, 2, g)])
+        expected = np.zeros((3, 3), dtype=complex)
+        expected[0, 1] = 1.0
+        expected[1, 0] = g[0, 0]
+        expected[1, 2] = g[0, 1]
+        expected[2, 0] = g[1, 0]
+        expected[2, 2] = g[1, 1]
+        assert np.max(np.abs(u - expected)) < 1e-12
+
+
+def family_block(rng):
+    """A random 2x2 unitary with a real non-negative upper-right entry."""
+    w = haar_unitary(2, rng)
+    return np.diag([np.exp(-1j * np.angle(w[0, 1])), 1.0]) @ w
 
 
 def test_coupling_pass_rejects_bad_block():
     g = np.array([[0.0, 1j], [1.0, 0.0]])  # upper-right not real positive
     with pytest.raises(CompileError):
         coupling_pass(3, 0, 1, g)
+    g = family_block(np.random.default_rng(SEED + 8))
+    bad = [2 * g, g @ np.diag([1 + 1e-9, 1.0]), g[:, ::-1],
+           np.diag([1j, 1.0]) @ g,  # g01 imaginary
+           np.diag([-1.0, 1.0]) @ g,  # g01 negative
+           np.eye(3)]
+    for block in bad:
+        with pytest.raises(CompileError):
+            coupling_pass(4, 1, 3, block)
+    for x, y in [(1, 1), (2, 1), (-1, 2), (0, 4)]:
+        with pytest.raises(CompileError):
+            coupling_pass(4, x, y, g)
+
+
+def test_coupling_pass_equals_scalar_builder():
+    """The public entry point adds checks only: the ticks are the builder's
+    on the block's entries, bit for bit."""
+    rng = np.random.default_rng(SEED + 9)
+    blocks = [family_block(rng) for _ in range(200)]
+    blocks += [np.eye(2, dtype=complex), np.array([[0, 1], [1j, 0]]),
+               np.array([[1j, 0], [0, -1]])]
+    for k, g in enumerate(blocks):
+        n = 2 + k % 7
+        x = k % (n - 1)
+        y = x + 1 + (k // 7) % (n - 1 - x)
+        (g00, g01), (g10, g11) = np.asarray(g, dtype=complex).tolist()
+        built = compiler._coupling(n, x, y, g00, g01.real, g10, g11)
+        assert coupling_pass(n, x, y, g).central == built.central
 
 
 # ------------------------------------------------------- pairwise -> passes
@@ -288,6 +334,122 @@ def test_verification_error_is_raised_on_bad_tolerance():
     u = haar_unitary(4, rng)
     with pytest.raises(VerificationError):
         compile_unitary(u, tol=1e-18)  # float arithmetic cannot hit this
+
+
+def test_compile_rejects_corrupted_ticks(monkeypatch):
+    """Verification is the end-to-end guard: one bad tick in any built
+    coupling pass makes the compile fail."""
+    builder = compiler._coupling
+
+    def corrupted(n_bins, x, y, *block):
+        ticks = list(builder(n_bins, x, y, *block).central)
+        theta, phi = ticks[y]  # the partly open tick
+        ticks[y] = (theta, phi + 1e-6)
+        return PassSettings(central=tuple(ticks))
+
+    monkeypatch.setattr(compiler, "_coupling", corrupted)
+    u = haar_unitary(5, np.random.default_rng(SEED + 10))
+    with pytest.raises(VerificationError) as info:
+        compile_unitary(u)
+    assert info.value.error_norm > 1e-9
+
+
+@pytest.mark.parametrize("eps", [4e-6, 1e-9])
+def test_near_unitary_blocks_are_rejected_at_every_entry_point(eps):
+    """max|U^dag U - 1| = 2 eps + eps^2 exceeds UNITARY_ATOL (1e-10), with
+    no relative slack on the diagonal."""
+    m = np.diag([1 + eps, 1.0])
+    with pytest.raises(FockError):
+        _as_matrix(m)
+    with pytest.raises(CompileError):
+        coupling_pass(2, 0, 1, m)
+    with pytest.raises(GateError):
+        single_qubit_gate(m, (0, 1))
+    with pytest.raises(FockError):
+        compile_unitary(m)
+
+
+# ------------------------------------------- reference: the matrix route
+#
+# The same synthesis in matrix arithmetic: each rotation of the elimination
+# as an embedded n x n product, the phase sweep on numpy 2x2 matrices, and
+# the tick formulas read off the block matrix.
+
+
+def reference_reck(u):
+    a = np.array(u, dtype=complex)
+    n = a.shape[0]
+    ops = []
+    for r in range(n - 1, 0, -1):
+        for c in range(r):
+            x, v = a[r, c], a[r, c + 1]
+            if abs(x) < 1e-14:
+                theta, phi = 0.0, 0.0
+            else:
+                theta = math.atan2(abs(x), abs(v))
+                phi = float(np.angle(x) - np.angle(v))
+            ops.append((c, c + 1, theta, phi))
+            t = embed_two(n, c, c + 1, beamsplitter_matrix(theta, phi))
+            a = a @ t.conj().T
+    return ops, np.angle(np.diagonal(a))
+
+
+def reference_coupling_ticks(n_bins, x, y, g):
+    c = min(max(g[0, 1].real, 0.0), 1.0)
+    s = abs(g[0, 0])
+    p = x * math.pi
+    phi_m = p + math.pi + float(np.angle(g[0, 0])) if s > 1e-12 else 0.0
+    if c > 1e-12:
+        q = p + math.pi + float(np.angle(g[1, 0]))
+    else:
+        q = phi_m + math.pi + float(np.angle(g[1, 1]))
+    ticks = []
+    for t in range(n_bins + 1):
+        if t <= x:
+            ticks.append((math.pi / 2, t * math.pi))
+        elif t < y:
+            ticks.append((0.0, 0.0))
+        elif t == y:
+            ticks.append((math.atan2(s, c), phi_m))
+        else:
+            ticks.append((math.pi / 2, q + (t - y - 1) * math.pi))
+    return ticks
+
+
+def reference_compile_ticks(u):
+    n = len(u)
+    ops, phases = reference_reck(u)
+    pending = np.ones(n, dtype=complex)
+    passes = []
+    for i, j, theta, phi in ops:
+        s2 = beamsplitter_matrix(theta, phi) @ np.diag(pending[[i, j]])
+        if abs(s2[0, 1]) < 1e-12 and abs(s2[1, 0]) < 1e-12:
+            pending[i], pending[j] = s2[0, 0], s2[1, 1]
+            continue
+        lam = float(np.angle(s2[0, 1])) if abs(s2[0, 1]) > 1e-12 else 0.0
+        g = np.diag([np.exp(-1j * lam), 1.0]) @ s2
+        passes.append(reference_coupling_ticks(n, i, j, g))
+        pending[i], pending[j] = np.exp(1j * lam), 1.0
+    total = np.exp(1j * phases) * pending
+    if np.max(np.abs(total - 1.0)) > 1e-13:
+        passes.append(phase_pass(n, np.angle(total)).central)
+    return passes
+
+
+def test_compile_matches_matrix_route_reference():
+    rng = np.random.default_rng(SEED + 11)
+    for k in range(300):
+        n = 2 + k % 15
+        u = haar_unitary(n, rng)
+        sched = compile_unitary(u)
+        got = [ps.central for rp in sched.rounds for ps in rp.passes]
+        want = reference_compile_ticks(u)
+        assert len(got) == len(want), (k, n)
+        diff = max((abs(a - b) for p, q in zip(got, want)
+                    for tick_p, tick_q in zip(p, q)
+                    for a, b in zip(tick_p, tick_q)), default=0.0)
+        assert diff <= 1e-12, (k, n, diff)
+        assert verify_schedule(sched, u) <= 1e-12, (k, n)
 
 
 # -------------------------------------------------- multiphoton cross-check

@@ -322,6 +322,20 @@ def test_measure_modes_is_seed_deterministic():
     assert out1[0] == out2[0]
 
 
+def test_measure_modes_draw_ignores_term_order():
+    """The draw walks the patterns sorted, so the same state with its terms
+    inserted in another order gives the same outcome for the same seed."""
+    rng = np.random.default_rng(SEED + 7)
+    s = apply_mode_unitary(FockState.from_occupation((1, 1, 0)),
+                           haar_unitary(3, rng))
+    items = list(s.items())
+    flipped = FockState(3, 2, dict(reversed(items)))
+    assert list(flipped.amplitudes) != list(s.amplitudes)
+    for k in range(50):
+        assert measure_modes(s, (0, 2), np.random.default_rng(k))[0] == \
+            measure_modes(flipped, (0, 2), np.random.default_rng(k))[0]
+
+
 def test_measure_modes_statistics():
     s = FockState(2, 1, {(1, 0): 0.6, (0, 1): 0.8})
     rng = np.random.default_rng(SEED + 5)

@@ -243,6 +243,15 @@ def test_cz_on_plus_plus_gives_cluster_state():
         assert amps[bits] == pytest.approx(want, abs=1e-10)
 
 
+def test_cz_rejects_rails_that_are_not_two_pairs():
+    s = dual_rail_ket((1, 1))
+    for pair_a, pair_b in [((0, 1, 2), (3,)), ((0,), (1, 2, 3)),
+                           ((0, 1), (2, 3, 3)), ((0, 1), (1, 2)),
+                           ((0, 1), (2, 4))]:
+        with pytest.raises(GateError):
+            cz_gate(s, pair_a, pair_b, postselect=True)
+
+
 def test_cz_sampled_heralds():
     s = dual_rail_ket((1, 1))
     rng = np.random.default_rng(SEED + 4)
